@@ -2,9 +2,9 @@
 // (google-benchmark). Tracks the structures the rotation search and the
 // connectivity-safe adjustment hammer per plan:
 //
-//   - GridIndex build + radius queries, against an in-file copy of the
-//     previous hash-map implementation (BM_*Legacy) so the CSR speedup
-//     stays measurable after the old code is gone;
+//   - GridIndex build + radius queries;
+//   - GridCvt::centroids_into, one Lloyd step's Voronoi assignment and
+//     centroid sums at the planner's default sampling;
 //   - OverlapInterpolator::map_all at a fixed theta (pure warm-start) and
 //     across a theta sweep (the rotation-search access pattern), with and
 //     without caller-owned buffers;
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "anr/anr.h"
@@ -37,55 +36,6 @@ std::vector<Vec2> random_points(int n, std::uint64_t seed) {
   return pts;
 }
 
-// --- legacy hash-map grid (the pre-CSR implementation), kept as the
-// comparison baseline for the speedup claims -------------------------------
-
-class LegacyGridIndex {
- public:
-  LegacyGridIndex(std::vector<Vec2> pts, double cell)
-      : pts_(std::move(pts)), cell_(cell) {
-    for (std::size_t i = 0; i < pts_.size(); ++i) {
-      int cx = 0, cy = 0;
-      cell_of(pts_[i], cx, cy);
-      cells_[key(cx, cy)].push_back(static_cast<int>(i));
-    }
-  }
-
-  std::vector<int> query_radius(Vec2 q, double radius) const {
-    std::vector<int> out;
-    int cx0 = 0, cy0 = 0, cx1 = 0, cy1 = 0;
-    cell_of(q - Vec2{radius, radius}, cx0, cy0);
-    cell_of(q + Vec2{radius, radius}, cx1, cy1);
-    double r2 = radius * radius;
-    for (int cx = cx0; cx <= cx1; ++cx) {
-      for (int cy = cy0; cy <= cy1; ++cy) {
-        auto it = cells_.find(key(cx, cy));
-        if (it == cells_.end()) continue;
-        for (int i : it->second) {
-          if (distance2(pts_[static_cast<std::size_t>(i)], q) <= r2 + 1e-12) {
-            out.push_back(i);
-          }
-        }
-      }
-    }
-    return out;
-  }
-
- private:
-  static std::int64_t key(int cx, int cy) {
-    return (static_cast<std::int64_t>(cx) << 32) ^
-           (static_cast<std::int64_t>(cy) & 0xffffffffLL);
-  }
-  void cell_of(Vec2 p, int& cx, int& cy) const {
-    cx = static_cast<int>(std::floor(p.x / cell_));
-    cy = static_cast<int>(std::floor(p.y / cell_));
-  }
-
-  std::vector<Vec2> pts_;
-  double cell_;
-  std::unordered_map<std::int64_t, std::vector<int>> cells_;
-};
-
 constexpr double kRadius = 40.0;
 
 void BM_GridIndexBuild(benchmark::State& state) {
@@ -98,16 +48,6 @@ void BM_GridIndexBuild(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GridIndexBuild)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
-
-void BM_GridIndexBuildLegacy(benchmark::State& state) {
-  auto pts = random_points(static_cast<int>(state.range(0)), 7);
-  for (auto _ : state) {
-    LegacyGridIndex index(pts, kRadius);
-    benchmark::DoNotOptimize(index);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GridIndexBuildLegacy)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
 
 void BM_GridIndexRadiusQuery(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -125,21 +65,6 @@ void BM_GridIndexRadiusQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexRadiusQuery)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_GridIndexRadiusQueryLegacy(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  auto pts = random_points(n, 7);
-  LegacyGridIndex index(pts, kRadius);
-  std::size_t total = 0, qi = 0;
-  for (auto _ : state) {
-    auto hits = index.query_radius(pts[qi], kRadius);
-    total += hits.size();
-    qi = (qi + 1) % pts.size();
-  }
-  state.counters["hits"] = static_cast<double>(total) /
-                           static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_GridIndexRadiusQueryLegacy)->Arg(256)->Arg(1024)->Arg(4096);
-
 void BM_UnitDiskAdjacency(benchmark::State& state) {
   auto pts = random_points(static_cast<int>(state.range(0)), 11);
   for (auto _ : state) {
@@ -148,6 +73,33 @@ void BM_UnitDiskAdjacency(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_UnitDiskAdjacency)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
+
+// --- CVT centroids -----------------------------------------------------------
+// One adjustment step's centroid pass: scenario 1's M2 at the planner's
+// default 24000 samples, Arg = site count (144 is the paper's swarm),
+// scratch reused across steps as in the planner. One arena thread: the
+// pass is ~1 ms, so waking workers on a shared host would dominate its
+// spread; the BM_*Threads benches cover fork-join scaling.
+
+void BM_GridCvtCentroids(benchmark::State& state) {
+  static const GridCvt grid(scenario(1).m2_shape, uniform_density(),
+                            PlannerOptions{}.cvt_samples);
+  Rng rng(29);
+  std::vector<Vec2> sites;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sites.push_back(grid.foi().sample_point(rng));
+  }
+  GridCvt::Scratch scratch;
+  std::vector<Vec2> out;
+  set_arena_threads(1);
+  for (auto _ : state) {
+    grid.centroids_into(sites, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  set_arena_threads(0);
+  state.counters["samples"] = static_cast<double>(grid.samples().size());
+}
+BENCHMARK(BM_GridCvtCentroids)->Arg(144)->Arg(4096);
 
 // --- interpolator ----------------------------------------------------------
 

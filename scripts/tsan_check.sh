@@ -15,7 +15,10 @@
 # submit/refresh racing a multi-threaded backend), and the codec suite
 # (encode/decode used concurrently by the serving path), and the FMM
 # suite (per-robot fast-marching solves fanned out over parallel_chunks
-# must produce byte-identical ToA fields at any thread count).
+# must produce byte-identical ToA fields at any thread count), and the
+# coverage suite (the CVT's block-coherent Voronoi assignment writes
+# per-chunk candidate buffers inside parallel_chunks, checked at 1 and 4
+# arena threads).
 #
 # Usage: scripts/tsan_check.sh [build-dir]
 set -euo pipefail
@@ -29,9 +32,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target test_runtime test_composition test_network test_grid_index \
   test_obs test_task_arena test_parallel_determinism test_shard \
   test_harmonic test_delaunay test_protocols test_decentralized \
-  test_admission test_plan_codec test_fmm >/dev/null
+  test_admission test_plan_codec test_fmm test_coverage >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(test_runtime|test_composition|test_network|test_grid_index|test_obs|test_task_arena|test_parallel_determinism|test_shard|test_harmonic|test_delaunay|test_protocols|test_decentralized|test_admission|test_plan_codec|test_fmm)$'
+  -R '^(test_runtime|test_composition|test_network|test_grid_index|test_obs|test_task_arena|test_parallel_determinism|test_shard|test_harmonic|test_delaunay|test_protocols|test_decentralized|test_admission|test_plan_codec|test_fmm|test_coverage)$'
 echo "OK: TSan sweep clean"

@@ -31,7 +31,14 @@ class GridCvt {
   /// steady state do not allocate. Each concurrent caller owns its own
   /// Scratch (GridCvt itself stays immutable and shareable).
   struct Scratch {
+    /// Sites bucketed at 4 x spacing: the per-sample ring scan that
+    /// settles near-ties (its scan order is the tie-break).
     GridIndex site_index;
+    /// Sites bucketed at the site density: block-centre queries and the
+    /// per-block candidate lists.
+    GridIndex site_grid;
+    /// One candidate-site buffer per parallel chunk of sample blocks.
+    std::vector<std::vector<int>> candidates;
     std::vector<Vec2> acc;
     std::vector<double> mass;
     /// Per-sample nearest-site assignment, filled in parallel (pure
@@ -66,6 +73,15 @@ class GridCvt {
   std::vector<double> weight_;
   std::unique_ptr<GridIndex> sample_index_;
   double spacing_ = 0.0;
+
+  // Samples bucketed into square blocks of side block_ (4 x spacing),
+  // row-major from block_lo_: block b holds the sample ids
+  // block_samples_[block_start_[b] .. block_start_[b+1]), increasing.
+  double block_ = 0.0;
+  Vec2 block_lo_;
+  int block_nx_ = 0;
+  std::vector<int> block_start_;
+  std::vector<int> block_samples_;
 };
 
 }  // namespace anr

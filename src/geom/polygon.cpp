@@ -66,11 +66,20 @@ bool Polygon::contains(Vec2 p) const {
   if (pts_.size() < 3) return false;
   // Boundary tolerance: a point within 1e-9 of an edge is "inside"; the
   // crossing-number test alone is unstable exactly on the boundary.
+  // Outside an edge's bounding box grown by 2e-9 the point is farther than
+  // that from the edge, so the distance test is skipped there.
+  const double kBoxPad = 2e-9;
   const std::size_t n = pts_.size();
   bool inside = false;
   for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
     Vec2 a = pts_[j], b = pts_[i];
-    if (point_segment_distance(p, Segment{a, b}) < 1e-9) return true;
+    const bool near_edge_box = p.x >= std::min(a.x, b.x) - kBoxPad &&
+                               p.x <= std::max(a.x, b.x) + kBoxPad &&
+                               p.y >= std::min(a.y, b.y) - kBoxPad &&
+                               p.y <= std::max(a.y, b.y) + kBoxPad;
+    if (near_edge_box && point_segment_distance(p, Segment{a, b}) < 1e-9) {
+      return true;
+    }
     bool straddles = (b.y > p.y) != (a.y > p.y);
     if (straddles) {
       double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);

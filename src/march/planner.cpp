@@ -1,6 +1,7 @@
 #include "march/planner.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <queue>
@@ -22,6 +23,40 @@
 namespace anr {
 
 namespace {
+
+// Time of one adjustment sub-stage summed over the Lloyd steps and
+// observed once per plan, like a stage. Inert (no clock read) when the
+// histogram is null.
+class SubStageClock {
+ public:
+  explicit SubStageClock(obs::Histogram* hist) : hist_(hist) {}
+
+  /// Adds the time until the end of its scope to the clock.
+  class Lap {
+   public:
+    explicit Lap(SubStageClock& clock) : clock_(clock) {
+      if (clock_.hist_ != nullptr) t0_ = std::chrono::steady_clock::now();
+    }
+    ~Lap() {
+      if (clock_.hist_ == nullptr) return;
+      clock_.total_s_ += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0_)
+                             .count();
+    }
+    Lap(const Lap&) = delete;
+    Lap& operator=(const Lap&) = delete;
+
+   private:
+    SubStageClock& clock_;
+    std::chrono::steady_clock::time_point t0_{};
+  };
+
+  void finish() { obs::observe(hist_, total_s_); }
+
+ private:
+  obs::Histogram* hist_;
+  double total_s_ = 0.0;
+};
 
 // Compacts `mesh` to the vertices referenced by triangles. Returns the
 // compact mesh and fills robot_to_compact (-1 for dropped vertices).
@@ -83,6 +118,9 @@ void MarchPlanner::set_observer(obs::Registry* registry) {
   ins_.stage_rotation = stage("rotation_search");
   ins_.stage_interpolation = stage("interpolation");
   ins_.stage_adjustment = stage("adjustment");
+  ins_.stage_adjust_cvt = stage("adjust_cvt");
+  ins_.stage_adjust_connectivity = stage("adjust_connectivity");
+  ins_.stage_adjust_append = stage("adjust_append");
   ins_.stage_routing = stage("terrain_routing");
   ins_.plan_seconds =
       registry->histogram("anr_plan_seconds", {}, "end-to-end plan() latency");
@@ -681,44 +719,54 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
   net::IncrementalConnectivity connectivity(r_c_);
   GridCvt::Scratch cvt_scratch;
   std::vector<Vec2> local(n), cents, cand(n), trial(n);
+  SubStageClock cvt_clock(ins_.stage_adjust_cvt);
+  SubStageClock connectivity_clock(ins_.stage_adjust_connectivity);
+  SubStageClock append_clock(ins_.stage_adjust_append);
   for (int step = 0; step < opt_.max_adjust_steps; ++step) {
-    // Centroids in the origin frame of the precomputed engine.
-    for (std::size_t r = 0; r < n; ++r) local[r] = cur[r] - m2_offset;
-    if (opt_.adjustment == AdjustmentEngine::kLocalVoronoi) {
-      cents = local_lloyd_->step(local).centroids;
-    } else {
-      cvt_->centroids_into(local, cvt_scratch, cents);
+    {
+      SubStageClock::Lap lap(cvt_clock);
+      // Centroids in the origin frame of the precomputed engine.
+      for (std::size_t r = 0; r < n; ++r) local[r] = cur[r] - m2_offset;
+      if (opt_.adjustment == AdjustmentEngine::kLocalVoronoi) {
+        cents = local_lloyd_->step(local).centroids;
+      } else {
+        cvt_->centroids_into(local, cvt_scratch, cents);
+      }
+      for (std::size_t r = 0; r < n; ++r) cand[r] = cents[r] + m2_offset;
     }
-    for (std::size_t r = 0; r < n; ++r) cand[r] = cents[r] + m2_offset;
 
     // Connectivity-safe step: try the full move; halve collectively while
     // the trial configuration would split the network (Sec. III-D-1) or —
     // under terrain routing — march a robot through a keep-out cell.
-    double factor = 1.0;
     bool ok = false;
-    int max_halvings = opt_.safe_adjustment ? 7 : 1;
-    for (int halving = 0; halving < max_halvings; ++halving) {
-      for (std::size_t r = 0; r < n; ++r) {
-        trial[r] = lerp(cur[r], cand[r], factor);
-      }
-      bool blocked_move = false;
-      if (terrain_active && router->field().has_blocked()) {
+    {
+      SubStageClock::Lap lap(connectivity_clock);
+      double factor = 1.0;
+      int max_halvings = opt_.safe_adjustment ? 7 : 1;
+      for (int halving = 0; halving < max_halvings; ++halving) {
         for (std::size_t r = 0; r < n; ++r) {
-          if (router->segment_blocked(cur[r], trial[r])) {
-            blocked_move = true;
-            break;
+          trial[r] = lerp(cur[r], cand[r], factor);
+        }
+        bool blocked_move = false;
+        if (terrain_active && router->field().has_blocked()) {
+          for (std::size_t r = 0; r < n; ++r) {
+            if (router->segment_blocked(cur[r], trial[r])) {
+              blocked_move = true;
+              break;
+            }
           }
         }
+        if (!blocked_move &&
+            (!opt_.safe_adjustment || connectivity.check(trial))) {
+          ok = true;
+          break;
+        }
+        factor /= 2.0;
       }
-      if (!blocked_move &&
-          (!opt_.safe_adjustment || connectivity.check(trial))) {
-        ok = true;
-        break;
-      }
-      factor /= 2.0;
     }
     if (!ok) break;  // no safe move at all: stay put
 
+    SubStageClock::Lap append_lap(append_clock);
     double max_move = 0.0;
     for (std::size_t r = 0; r < n; ++r) {
       max_move = std::max(max_move, distance(trial[r], cur[r]));
@@ -742,6 +790,9 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     ++plan.adjust_steps;
   }
 
+  cvt_clock.finish();
+  connectivity_clock.finish();
+  append_clock.finish();
   adjust_span.finish();
 
   plan.final_positions = cur;

@@ -191,7 +191,8 @@ class MarchPlanner {
   const PlannerOptions& options() const { return opt_; }
 
   /// Attaches a metrics registry: per-stage spans + latency histograms
-  /// (anr_plan_stage_seconds{stage=...}), whole-plan latency, rotation
+  /// (anr_plan_stage_seconds{stage=...}; adjust_cvt, adjust_connectivity
+  /// and adjust_append split the adjustment stage), whole-plan latency, rotation
   /// probe / snapped-target / repair counters, and fallback-mode counters
   /// for plan_robust(). Pass nullptr (or an obs::NullRegistry) to detach.
   /// Not part of the cache fingerprint — observation never changes plan
@@ -209,6 +210,10 @@ class MarchPlanner {
     obs::Histogram* stage_rotation = nullptr;
     obs::Histogram* stage_interpolation = nullptr;
     obs::Histogram* stage_adjustment = nullptr;
+    // Sub-stages of adjustment, each summed over the plan's Lloyd steps.
+    obs::Histogram* stage_adjust_cvt = nullptr;
+    obs::Histogram* stage_adjust_connectivity = nullptr;
+    obs::Histogram* stage_adjust_append = nullptr;
     obs::Histogram* stage_routing = nullptr;
     obs::Histogram* plan_seconds = nullptr;
     obs::Counter* plans = nullptr;

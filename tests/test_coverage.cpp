@@ -8,6 +8,9 @@
 #include "coverage/grid_cvt.h"
 #include "coverage/lloyd.h"
 #include "coverage/voronoi.h"
+#include "common/task_arena.h"
+#include "foi/shapes.h"
+#include "geom/grid_index.h"
 #include "net/unit_disk_graph.h"
 #include "test_util.h"
 
@@ -64,6 +67,154 @@ TEST(GridCvt, NearestSample) {
   GridCvt grid(foi, uniform_density(), 5000);
   Vec2 s = grid.nearest_sample({25.0, 25.0});
   EXPECT_LT(distance(s, Vec2(25.0, 25.0)), 2.0 * grid.spacing());
+}
+
+// --- block-coherent assignment vs the per-sample reference -----------------
+
+// The per-sample assignment GridCvt used before block-coherent assignment:
+// one ring scan per sample over a 4 x spacing site index, sums accumulated
+// in sample order, centroids outside the FoI snapped to the nearest sample.
+std::vector<Vec2> per_sample_centroids(const GridCvt& grid,
+                                       const DensityFn& density,
+                                       const std::vector<Vec2>& sites) {
+  GridIndex index(sites, std::max(grid.spacing() * 4.0, 1e-9));
+  std::vector<Vec2> acc(sites.size());
+  std::vector<double> mass(sites.size(), 0.0);
+  for (Vec2 p : grid.samples()) {
+    const std::size_t site = static_cast<std::size_t>(index.nearest(p));
+    const double w = density(p);
+    acc[site] += p * w;
+    mass[site] += w;
+  }
+  std::vector<Vec2> out;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    if (mass[i] <= 0.0) {
+      out.push_back(sites[i]);
+      continue;
+    }
+    Vec2 c = acc[i] / mass[i];
+    if (!grid.foi().contains(c)) c = grid.nearest_sample(c);
+    out.push_back(c);
+  }
+  return out;
+}
+
+// Blob with a flower-shaped pond, at the paper scenarios' scale.
+FieldOfInterest pond_blob() {
+  return FieldOfInterest(
+      make_blob({0.0, 0.0}, 320.0, {{2, 0.12, 0.4}, {3, 0.07, 1.3}}),
+      {make_flower({20.0, -15.0}, 95.0, 5, 0.35)});
+}
+
+DensityFn pond_density() { return hotspot_density({-150.0, 90.0}, 4.0, 60.0); }
+
+// Bitwise equality at one and four arena threads.
+void expect_matches_reference(const GridCvt& grid, const DensityFn& density,
+                              const std::vector<Vec2>& sites) {
+  const std::vector<Vec2> want = per_sample_centroids(grid, density, sites);
+  for (int threads : {1, 4}) {
+    set_arena_threads(threads);
+    const std::vector<Vec2> got = grid.centroids(sites);
+    set_arena_threads(0);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].x, want[i].x) << "site " << i << " threads " << threads;
+      ASSERT_EQ(got[i].y, want[i].y) << "site " << i << " threads " << threads;
+    }
+  }
+}
+
+TEST(GridCvtBlocks, MatchesPerSampleReferenceOnRandomSites) {
+  const FieldOfInterest foi = pond_blob();
+  const DensityFn density = pond_density();
+  const GridCvt grid(foi, density, 24000);
+  for (int n : {1, 2, 144, 4096}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed * 7919 + static_cast<std::uint64_t>(n));
+      std::vector<Vec2> sites;
+      for (int i = 0; i < n; ++i) sites.push_back(foi.sample_point(rng));
+      SCOPED_TRACE(testing::Message() << n << " sites, seed " << seed);
+      expect_matches_reference(grid, density, sites);
+    }
+  }
+}
+
+TEST(GridCvtBlocks, MatchesPerSampleReferenceWithSitesOutsideTheFoi) {
+  const FieldOfInterest foi = pond_blob();
+  const DensityFn density = pond_density();
+  const GridCvt grid(foi, density, 24000);
+  // Sites spread over a box three times the FoI's size: many fall in the
+  // pond or far outside, some capture no sample at all.
+  for (int n : {1, 2, 144}) {
+    auto sites = testutil::random_points(n, -1000.0, 1000.0,
+                                         static_cast<std::uint64_t>(n) + 11);
+    SCOPED_TRACE(testing::Message() << n << " sites");
+    expect_matches_reference(grid, density, sites);
+  }
+  // All sites far away on one side.
+  expect_matches_reference(grid, density,
+                           {{5000.0, 40.0}, {5200.0, -30.0}, {5000.0, 41.0}});
+}
+
+TEST(GridCvtBlocks, MatchesPerSampleReferenceWithDuplicateSites) {
+  const FieldOfInterest foi = pond_blob();
+  const DensityFn density = pond_density();
+  const GridCvt grid(foi, density, 24000);
+  Rng rng(21);
+  std::vector<Vec2> sites;
+  for (int i = 0; i < 144; ++i) sites.push_back(foi.sample_point(rng));
+  // Every fourth site repeated, at a later index, plus one triple.
+  for (std::size_t i = 0; i < 144; i += 4) sites.push_back(sites[i]);
+  sites.push_back(sites[5]);
+  sites.push_back(sites[5]);
+  expect_matches_reference(grid, density, sites);
+  // Two sites only, at the same point.
+  expect_matches_reference(grid, density, {sites[7], sites[7]});
+}
+
+TEST(GridCvtBlocks, ExactTiesFollowTheRingScanOrder) {
+  const FieldOfInterest foi = pond_blob();
+  const DensityFn density = pond_density();
+  const GridCvt grid(foi, density, 24000);
+  const std::vector<Vec2>& samples = grid.samples();
+  // Sites mirrored about every 37th sample, so that sample is equidistant
+  // from each mirrored pair; offsets vary in length and direction, and
+  // the pair members alternate in index order, so the candidate order and
+  // the ring-scan order disagree on some ties.
+  Rng rng(5);
+  std::vector<Vec2> sites;
+  for (std::size_t s = 0; s < samples.size(); s += 37) {
+    const double len = grid.spacing() * rng.uniform(0.2, 1.6);
+    const double ang = rng.uniform(0.0, 6.283185307179586);
+    const Vec2 v{len * std::cos(ang), len * std::sin(ang)};
+    if ((s / 37) % 2 == 0) {
+      sites.push_back(samples[s] + v);
+      sites.push_back(samples[s] - v);
+    } else {
+      sites.push_back(samples[s] - v);
+      sites.push_back(samples[s] + v);
+    }
+  }
+  // Axis-aligned mirrors at exactly representable offsets, four-way ties.
+  for (std::size_t s = 18; s < samples.size(); s += 1013) {
+    const double d = 0.5 * grid.spacing();
+    for (Vec2 v : {Vec2{d, 0.0}, Vec2{0.0, d}, Vec2{-d, 0.0}, Vec2{0.0, -d}}) {
+      sites.push_back(samples[s] + v);
+    }
+  }
+  // The layout really produces ties: some sample's two nearest sites are
+  // equally far, to the 1e-12 relative tolerance that triggers the
+  // per-sample ring scan.
+  GridIndex index(sites, 4.0 * grid.spacing());
+  int ties = 0;
+  for (Vec2 p : samples) {
+    std::vector<int> near = index.k_nearest(p, 2);
+    const double d0 = distance2(sites[static_cast<std::size_t>(near[0])], p);
+    const double d1 = distance2(sites[static_cast<std::size_t>(near[1])], p);
+    if (d1 - d0 <= 1e-12 * d1) ++ties;
+  }
+  EXPECT_GT(ties, 100);
+  expect_matches_reference(grid, density, sites);
 }
 
 TEST(Lloyd, ConvergesAndStaysInside) {

@@ -87,6 +87,20 @@ TEST(MetricsWiring, PlannerEmitsStageSpansAndCounters) {
         reg.histogram("anr_plan_stage_seconds", {{"stage", stage}});
     EXPECT_EQ(h->count(), 1u) << stage;
   }
+  // The adjustment sub-stages: one observation each per plan, summed over
+  // the Lloyd steps and nested inside the adjustment stage's time.
+  double sub_sum = 0.0;
+  for (const char* sub :
+       {"adjust_cvt", "adjust_connectivity", "adjust_append"}) {
+    obs::Histogram* h =
+        reg.histogram("anr_plan_stage_seconds", {{"stage", sub}});
+    EXPECT_EQ(h->count(), 1u) << sub;
+    sub_sum += h->sum();
+  }
+  EXPECT_GT(sub_sum, 0.0);
+  EXPECT_LE(sub_sum,
+            reg.histogram("anr_plan_stage_seconds", {{"stage", "adjustment"}})
+                ->sum());
 
   // The span ring carries one outer "plan" span and one per stage, with
   // the stages nested one level below it.

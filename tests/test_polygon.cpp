@@ -3,8 +3,11 @@
 
 #include <cmath>
 
+#include "common/rng.h"
+#include "foi/shapes.h"
 #include "geom/polygon.h"
 #include "geom/polygon_clip.h"
+#include "geom/segment.h"
 #include "test_util.h"
 
 namespace anr {
@@ -111,6 +114,84 @@ TEST(Polygon, ParamRoundTrip) {
     EXPECT_NEAR(c.perimeter_param(p), std::fmod(s, c.perimeter()), 1e-6);
   }
 }
+
+// --- contains() against the formula without the edge-box reject -----------
+
+// Polygon::contains as it read before the edge-box reject: the boundary
+// distance test runs on every edge.
+bool contains_every_edge(const Polygon& poly, Vec2 p) {
+  const std::vector<Vec2>& pts = poly.points();
+  if (pts.size() < 3) return false;
+  const std::size_t n = pts.size();
+  bool inside = false;
+  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
+    Vec2 a = pts[j], b = pts[i];
+    if (point_segment_distance(p, Segment{a, b}) < 1e-9) return true;
+    bool straddles = (b.y > p.y) != (a.y > p.y);
+    if (straddles) {
+      double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);
+      if (p.x < x_cross) inside = !inside;
+    }
+  }
+  return inside;
+}
+
+class ContainsEdgeBox : public ::testing::TestWithParam<int> {
+ protected:
+  Polygon shape() const {
+    switch (GetParam()) {
+      case 0:
+        return make_blob({0.0, 0.0}, 320.0, {{2, 0.12, 0.4}, {3, 0.07, 1.3}});
+      case 1:
+        return make_flower({20.0, -15.0}, 95.0, 5, 0.35);
+      default:
+        return make_circle({3.0, -7.0}, 40.0, 64);
+    }
+  }
+};
+
+TEST_P(ContainsEdgeBox, AgreesOnVerticesEdgesAndOffsets) {
+  const Polygon poly = shape();
+  const std::vector<Vec2>& pts = poly.points();
+  Rng rng(17);
+  int checked = 0;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec2 a = pts[i], b = pts[(i + 1) % pts.size()];
+    const Vec2 normal = (b - a).perp().normalized();
+    std::vector<Vec2> probes{a, lerp(a, b, 0.5), lerp(a, b, rng.uniform(0.0, 1.0))};
+    for (double off : {1e-9, -1e-9, 0.5e-9, -0.5e-9, 2e-9, -2e-9, 3e-9,
+                       -3e-9}) {
+      probes.push_back(lerp(a, b, 0.5) + normal * off);
+      probes.push_back(a + normal * off);
+      probes.push_back(a + (b - a).normalized() * off);
+    }
+    for (Vec2 p : probes) {
+      ASSERT_EQ(poly.contains(p), contains_every_edge(poly, p))
+          << "edge " << i << " at (" << p.x << ", " << p.y << ")";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST_P(ContainsEdgeBox, AgreesOnRandomPoints) {
+  const Polygon poly = shape();
+  const BBox box = poly.bbox();
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 3);
+  int inside = 0;
+  for (int k = 0; k < 20000; ++k) {
+    const Vec2 p{rng.uniform(box.lo.x - 10.0, box.hi.x + 10.0),
+                 rng.uniform(box.lo.y - 10.0, box.hi.y + 10.0)};
+    const bool want = contains_every_edge(poly, p);
+    ASSERT_EQ(poly.contains(p), want) << "(" << p.x << ", " << p.y << ")";
+    inside += want ? 1 : 0;
+  }
+  EXPECT_GT(inside, 1000);
+  EXPECT_LT(inside, 19000);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlobFlowerCircle, ContainsEdgeBox,
+                         ::testing::Values(0, 1, 2));
 
 TEST(Clip, HalfPlaneSquare) {
   Polygon sq = make_rect({0, 0}, {10, 10});
