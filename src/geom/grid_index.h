@@ -44,9 +44,15 @@ class GridIndex {
   /// allocation-free primitive behind both query_radius overloads.
   template <class Visitor>
   void visit_radius(Vec2 q, double radius, Visitor&& visit) const {
+    // The cell range reaches a little past `radius`: the inclusive test
+    // below accepts pairs up to sqrt(r^2 + 1e-12) apart, and a point that
+    // far out can sit one cell beyond q +- radius. The pad covers that
+    // slack (<= 5e-13 / radius) for radii >= 1e-3, plus the rounding of
+    // q +- reach for coordinates up to about 1e6.
+    const double reach = radius + 1e-9 * (1.0 + radius);
     int cx0 = 0, cy0 = 0, cx1 = 0, cy1 = 0;
-    cell_of(q - Vec2{radius, radius}, cx0, cy0);
-    cell_of(q + Vec2{radius, radius}, cx1, cy1);
+    cell_of(q - Vec2{reach, reach}, cx0, cy0);
+    cell_of(q + Vec2{reach, reach}, cx1, cy1);
     if (cx0 < cx_lo_) cx0 = cx_lo_;
     if (cx1 > cx_hi_) cx1 = cx_hi_;
     if (cy0 < cy_lo_) cy0 = cy_lo_;

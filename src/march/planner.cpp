@@ -122,6 +122,7 @@ void MarchPlanner::set_observer(obs::Registry* registry) {
   ins_.stage_adjust_connectivity = stage("adjust_connectivity");
   ins_.stage_adjust_append = stage("adjust_append");
   ins_.stage_routing = stage("terrain_routing");
+  ins_.stage_transition_guard = stage("transition_guard");
   ins_.plan_seconds =
       registry->histogram("anr_plan_seconds", {}, "end-to-end plan() latency");
   ins_.plans = registry->counter("anr_plans_total", {}, "plans produced");
@@ -162,6 +163,10 @@ void MarchPlanner::set_observer(obs::Registry* registry) {
   ins_.fmm_fb_stuck_descent = fmm_fallback("stuck_descent");
   ins_.fmm_fb_out_of_domain = fmm_fallback("out_of_domain");
   ins_.fmm_fb_connectivity = fmm_fallback("connectivity");
+  ins_.guard_unresolved = registry->counter(
+      "anr_transition_guard_unresolved_total", {},
+      "terrain plans still split at a guard sample after every candidate "
+      "route was straightened");
 }
 
 const char* plan_mode_name(PlanMode mode) {
@@ -637,9 +642,15 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     // Sample the transition densely and straighten the worst-deviating
     // routes — skipping robots whose straight chord would cross a keep-out
     // cell — until the sampled march stays connected. Each straightening
-    // is a typed degradation, tallied with the other fmm fallbacks.
+    // is a typed degradation, tallied with the other fmm fallbacks. One
+    // incremental checker serves every sample of every pass: consecutive
+    // instants are 1/256 of the march apart, so its spanning-tree
+    // certificate usually answers without rebuilding the adjacency.
+    obs::Span guard_span(ins_.spans, "transition_guard",
+                         ins_.stage_transition_guard);
     const int kGuardSamples = 257;
     std::vector<Vec2> guard_pos(n);
+    net::IncrementalConnectivity guard_connectivity(r_c_);
     auto first_disconnect = [&]() {
       for (int k = 0; k < kGuardSamples; ++k) {
         const double tk =
@@ -647,7 +658,7 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
         for (std::size_t r = 0; r < n; ++r) {
           guard_pos[r] = plan.trajectories[r].position(tk);
         }
-        if (!net::is_connected(guard_pos, r_c_)) return k;
+        if (!guard_connectivity.check(guard_pos)) return k;
       }
       return -1;
     };
@@ -680,7 +691,8 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
     std::size_t next = 0;
     const std::size_t batch = std::max<std::size_t>(1, n / 16);
     int straightened = 0;
-    while (next < by_deviation.size() && first_disconnect() >= 0) {
+    bool split = first_disconnect() >= 0;
+    while (split && next < by_deviation.size()) {
       for (std::size_t b = 0; b < batch && next < by_deviation.size();
            ++b, ++next) {
         const std::size_t r = by_deviation[next].second;
@@ -689,10 +701,15 @@ MarchPlan MarchPlanner::plan_impl(const std::vector<Vec2>& positions,
             chord_obstacles(positions[r], targets[r]));
         ++straightened;
       }
+      split = first_disconnect() >= 0;
     }
     plan.fmm_fallbacks += straightened;
     obs::inc(ins_.fmm_fb_connectivity,
              static_cast<std::uint64_t>(straightened));
+    // Every candidate straightened and a sample is still split: the plan
+    // ships as it is, but the failed guard is counted, not silent.
+    if (split) obs::inc(ins_.guard_unresolved);
+    guard_span.finish();
   }
 
   // --- 8. Minor local adjustment: connectivity-safe Lloyd -----------------

@@ -192,9 +192,12 @@ class MarchPlanner {
 
   /// Attaches a metrics registry: per-stage spans + latency histograms
   /// (anr_plan_stage_seconds{stage=...}; adjust_cvt, adjust_connectivity
-  /// and adjust_append split the adjustment stage), whole-plan latency, rotation
-  /// probe / snapped-target / repair counters, and fallback-mode counters
-  /// for plan_robust(). Pass nullptr (or an obs::NullRegistry) to detach.
+  /// and adjust_append split the adjustment stage; transition_guard times
+  /// the terrain connectivity guard), whole-plan latency, rotation
+  /// probe / snapped-target / repair counters, fallback-mode counters
+  /// for plan_robust(), and anr_transition_guard_unresolved_total for
+  /// terrain plans whose sampled march is still split after the guard.
+  /// Pass nullptr (or an obs::NullRegistry) to detach.
   /// Not part of the cache fingerprint — observation never changes plan
   /// output. Call before sharing the planner across threads; plan() only
   /// reads the resolved handles.
@@ -215,6 +218,7 @@ class MarchPlanner {
     obs::Histogram* stage_adjust_connectivity = nullptr;
     obs::Histogram* stage_adjust_append = nullptr;
     obs::Histogram* stage_routing = nullptr;
+    obs::Histogram* stage_transition_guard = nullptr;
     obs::Histogram* plan_seconds = nullptr;
     obs::Counter* plans = nullptr;
     obs::Counter* rotation_probes = nullptr;
@@ -232,6 +236,7 @@ class MarchPlanner {
     obs::Counter* fmm_fb_stuck_descent = nullptr;
     obs::Counter* fmm_fb_out_of_domain = nullptr;
     obs::Counter* fmm_fb_connectivity = nullptr;
+    obs::Counter* guard_unresolved = nullptr;
   };
 
   /// The full pipeline with the extraction radius scaled by

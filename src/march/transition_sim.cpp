@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "march/metrics.h"
-#include "net/connectivity.h"
+#include "net/incremental_connectivity.h"
 #include "net/unit_disk_graph.h"
 
 namespace anr {
@@ -50,6 +50,9 @@ TransitionMetrics simulate_transition(const std::vector<Trajectory>& trajs,
   ts.push_back(transition_end);
   std::sort(ts.begin(), ts.end());
 
+  // One checker across the instants: consecutive samples move little, so
+  // its spanning-tree certificate answers most of them.
+  net::IncrementalConnectivity connectivity(r_c);
   double r2 = r_c * r_c;
   for (double t : ts) {
     for (std::size_t i = 0; i < n; ++i) pos[i] = trajs[i].position(t);
@@ -62,7 +65,7 @@ TransitionMetrics simulate_transition(const std::vector<Trajectory>& trajs,
         if (t <= transition_end + 1e-12) alive_transition[li] = 0;
       }
     }
-    if (out.global_connectivity && !net::is_connected(pos, r_c)) {
+    if (out.global_connectivity && !connectivity.check(pos)) {
       out.global_connectivity = false;
       out.first_disconnect_time = t;
     }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "geom/grid_index.h"
 #include "test_util.h"
@@ -92,6 +93,21 @@ TEST(GridIndex, RadiusBoundaryIsInclusive) {
   auto got = idx.query_radius({0.0, 0.0}, 5.0);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(GridIndex, InclusiveSlackReachesAcrossCellBorder) {
+  // The inclusive test accepts pairs up to sqrt(r^2 + 1e-12) apart. With
+  // the query point just below a cell border, such a partner lies one cell
+  // past q + r and must still be reported, from either end.
+  const double r = 1.0;
+  const double reach = std::sqrt(r * r + 0.5e-12);
+  const Vec2 q{r - 0.5 * (reach - r), 0.0};
+  const Vec2 p{q.x + reach, 0.0};
+  ASSERT_LT(std::floor((q.x + r) / r), std::floor(p.x / r));
+  ASSERT_LE(distance2(p, q), r * r + 1e-12);
+  GridIndex idx(std::vector<Vec2>{q, p}, r);
+  EXPECT_EQ(idx.query_radius(q, r), (std::vector<int>{0, 1}));
+  EXPECT_EQ(idx.query_radius(p, r), (std::vector<int>{0, 1}));
 }
 
 TEST(GridIndex, EmptyIndexAndEmptyCells) {

@@ -17,6 +17,7 @@
 #include "io/plan_io.h"
 #include "march/execution_engine.h"
 #include "march/planner.h"
+#include "march/transition_sim.h"
 #include "obs/metrics.h"
 #include "runtime/mission_service.h"
 
@@ -101,6 +102,11 @@ TEST(MetricsWiring, PlannerEmitsStageSpansAndCounters) {
   EXPECT_LE(sub_sum,
             reg.histogram("anr_plan_stage_seconds", {{"stage", "adjustment"}})
                 ->sum());
+  // Straight-line motion has no transition guard.
+  EXPECT_EQ(reg.histogram("anr_plan_stage_seconds",
+                          {{"stage", "transition_guard"}})
+                ->count(),
+            0u);
 
   // The span ring carries one outer "plan" span and one per stage, with
   // the stages nested one level below it.
@@ -119,6 +125,96 @@ TEST(MetricsWiring, PlannerEmitsStageSpansAndCounters) {
   for (const char* stage : stages) {
     EXPECT_TRUE(names.count(stage)) << stage;
   }
+}
+
+// --- terrain: transition guard stage and its unresolved counter ---------
+
+// Geodesic motion over the fixture's corridor: rolling hills, slope cost and
+// one mud patch (the GoldenPlanGeodesic terrain), plus an optional keep-out
+// block of half-size `block` x r_c centred in the corridor.
+PlannerOptions terrain_options(const Fixture& f, double block = 0.0) {
+  PlannerOptions opt = fast_options();
+  opt.trajectory.motion = MotionModel::kTerrainGeodesic;
+  const Vec2 mid = lerp(f.sc.m1.centroid(), f.m2_world.centroid(), 0.5);
+  if (block > 0.0) {
+    const double h = block * f.sc.comm_range;
+    opt.trajectory.terrain.keep_out.push_back(
+        make_rect({mid.x - h, mid.y - h}, {mid.x + h, mid.y + h}));
+    return opt;
+  }
+  BBox tb = f.sc.m1.bbox();
+  tb.expand(f.m2_world.bbox().lo);
+  tb.expand(f.m2_world.bbox().hi);
+  opt.trajectory.terrain.terrain =
+      HeightField::rolling(tb, 10, 30.0, 150.0, /*seed=*/77);
+  opt.trajectory.terrain.slope_weight = 2.0;
+  opt.trajectory.terrain.uphill_penalty = 0.3;
+  opt.trajectory.terrain.mud.push_back({mid, 100.0, 2.5});
+  return opt;
+}
+
+TEST(MetricsWiring, TerrainPlanTimesTransitionGuardInsidePlan) {
+  const Fixture& f = fixture();
+  obs::Registry reg;
+  MarchPlanner planner(f.sc.m1, f.sc.m2_shape, f.sc.comm_range,
+                       terrain_options(f));
+  planner.set_observer(&reg);
+  MarchPlan plan = planner.plan(f.deploy, f.offset);
+  ASSERT_GT(plan.fmm_solves, 0);
+
+  obs::Histogram* guard =
+      reg.histogram("anr_plan_stage_seconds", {{"stage", "transition_guard"}});
+  EXPECT_EQ(guard->count(), 1u);
+  EXPECT_GT(guard->sum(), 0.0);
+  // The guard straightens routes until every sample is connected.
+  EXPECT_EQ(reg.counter("anr_transition_guard_unresolved_total")->value(), 0u);
+
+  const obs::SpanRecord* outer = nullptr;
+  const obs::SpanRecord* inner = nullptr;
+  std::vector<obs::SpanRecord> spans = reg.span_snapshot();
+  for (const obs::SpanRecord& r : spans) {
+    if (std::string(r.name) == "plan") outer = &r;
+    if (std::string(r.name) == "transition_guard") {
+      EXPECT_EQ(inner, nullptr) << "one guard span per plan";
+      inner = &r;
+    }
+  }
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->depth, 1);
+  EXPECT_LT(inner->seq, outer->seq);
+  EXPECT_GE(inner->start_s, outer->start_s);
+  EXPECT_LE(inner->start_s + inner->dur_s, outer->start_s + outer->dur_s);
+}
+
+TEST(MetricsWiring, UnresolvedTransitionGuardIsCounted) {
+  // A keep-out block 2 r_c square across the corridor: every straightened
+  // chord detours around it, the swarm splits into the streams passing
+  // either side, and the guard runs out of routes to straighten. 57 robots
+  // is the smallest seed-1 scenario-1 deployment that is connected.
+  const Fixture& f = fixture();
+  const std::vector<Vec2> deploy =
+      optimal_coverage_positions(f.sc.m1, 57, /*seed=*/1, uniform_density())
+          .positions;
+  const PlannerOptions opt = terrain_options(f, /*block=*/1.0);
+  MarchPlanner bare(f.sc.m1, f.sc.m2_shape, f.sc.comm_range, opt);
+  MarchPlan plain = bare.plan(deploy, f.offset);
+
+  obs::Registry reg;
+  MarchPlanner planner(f.sc.m1, f.sc.m2_shape, f.sc.comm_range, opt);
+  planner.set_observer(&reg);
+  MarchPlan plan = planner.plan(deploy, f.offset);
+
+  EXPECT_EQ(reg.counter("anr_transition_guard_unresolved_total")->value(), 1u);
+  EXPECT_EQ(reg.counter("anr_fmm_fallbacks_total", {{"reason", "connectivity"}})
+                ->value(),
+            static_cast<std::uint64_t>(plan.fmm_fallbacks));
+  // The counter is the only trace: the plan bytes are the unobserved ones,
+  // and the march is indeed split.
+  EXPECT_EQ(plan_to_json(plain).dump(), plan_to_json(plan).dump());
+  EXPECT_FALSE(simulate_transition(plan.trajectories, f.sc.comm_range,
+                                   opt.transition_time, 257)
+                   .global_connectivity);
 }
 
 TEST(MetricsWiring, PlanIsByteIdenticalWithInstrumentation) {

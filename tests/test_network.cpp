@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "fault/fault_model.h"
@@ -82,6 +84,174 @@ TEST(IncrementalConnectivity, HandlesResizeAndDegenerate) {
   // Grow the swarm mid-stream: checker must re-anchor, not crash.
   std::vector<Vec2> three = {{0.0, 0.0}, {4.0, 0.0}, {8.0, 0.0}};
   EXPECT_TRUE(inc.check(three));
+}
+
+// --- spanning-tree certificate: differential against net::is_connected -----
+
+// Runs one check and compares it with the batch checker; returns the
+// verdict.
+bool checked(IncrementalConnectivity& inc, const std::vector<Vec2>& pts,
+             double r, const std::string& where) {
+  const bool got = inc.check(pts);
+  EXPECT_EQ(got, net::is_connected(pts, r)) << where;
+  return got;
+}
+
+TEST(ConnectivityCertificate, SmallStepWalkIsAnsweredByTheCertificate) {
+  Rng rng(5);
+  const double r = 14.0;
+  auto pos = testutil::random_points(80, 0.0, 60.0, 21);
+  ASSERT_TRUE(net::is_connected(pos, r));
+  IncrementalConnectivity inc(r);
+  const int steps = 300;
+  for (int step = 0; step < steps; ++step) {
+    for (Vec2& p : pos) {
+      p.x += rng.uniform(-0.2, 0.2);
+      p.y += rng.uniform(-0.2, 0.2);
+    }
+    checked(inc, pos, r, "step " + std::to_string(step));
+  }
+  EXPECT_EQ(inc.certificate_hits() + inc.full_checks(),
+            static_cast<std::uint64_t>(steps));
+  // Links this short barely move: most calls never rebuild the adjacency.
+  EXPECT_GT(inc.certificate_hits(), inc.full_checks());
+}
+
+TEST(ConnectivityCertificate, LargeJumpsBreakTreeLinks) {
+  Rng rng(9);
+  for (double r : {6.0, 10.0, 16.0}) {
+    auto pos = testutil::random_points(50, 0.0, 50.0, 3);
+    IncrementalConnectivity inc(r);
+    std::uint64_t full_before = 0;
+    int jumps_that_missed = 0;
+    for (int step = 0; step < 200; ++step) {
+      const bool jump = step % 7 == 3;
+      if (jump) {
+        // Teleport a few robots across the field: any tree link they
+        // carried is now far out of range.
+        for (int k = 0; k < 3; ++k) {
+          Vec2& p = pos[static_cast<std::size_t>(rng.uniform_int(0, 49))];
+          p = {rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
+        }
+      } else {
+        for (Vec2& p : pos) {
+          p.x += rng.uniform(-0.1, 0.1);
+          p.y += rng.uniform(-0.1, 0.1);
+        }
+      }
+      full_before = inc.full_checks();
+      checked(inc, pos, r,
+              "r=" + std::to_string(r) + " step=" + std::to_string(step));
+      if (jump && inc.full_checks() > full_before) ++jumps_that_missed;
+    }
+    EXPECT_GT(jumps_that_missed, 0) << "r=" << r;
+    EXPECT_EQ(inc.certificate_hits() + inc.full_checks(), 200u);
+  }
+}
+
+TEST(ConnectivityCertificate, LinkRuleBoundaryMatchesBatchChecker) {
+  // A chain 0 - 1 - 2 whose middle link is stretched to r, to just inside
+  // the 1e-12 slack of the inclusive rule and to just outside it.
+  for (double r : {0.75, 1.0, 5.0}) {
+    const std::string tag = " r=" + std::to_string(r);
+    const double r2 = r * r;
+    const double inside = std::sqrt(r2 + 0.5e-12);
+    const double outside = std::sqrt(r2 + 4e-12);
+    // Robot 1 sits just below a grid-cell boundary (cells are r wide), so
+    // its partner inside the slack lands one cell past x1 + r.
+    const double x1 = r - 0.5 * (inside - r);
+    ASSERT_LT(std::floor((x1 + r) / r), std::floor((x1 + inside) / r)) << tag;
+    std::vector<Vec2> pts = {{x1 - 0.5 * r, 0.0}, {x1, 0.0},
+                             {x1 + 0.5 * r, 0.0}};
+    IncrementalConnectivity inc(r);
+    ASSERT_TRUE(checked(inc, pts, r, "relaxed" + tag));
+    const std::uint64_t full_after_first = inc.full_checks();
+
+    pts[2] = {x1 + r, 0.0};
+    ASSERT_LE(distance2(pts[1], pts[2]), r2 + 1e-12);
+    EXPECT_TRUE(checked(inc, pts, r, "at r" + tag));
+
+    pts[2] = {x1 + inside, 0.0};
+    ASSERT_GT(distance2(pts[1], pts[2]), r2);
+    ASSERT_LE(distance2(pts[1], pts[2]), r2 + 1e-12);
+    EXPECT_TRUE(checked(inc, pts, r, "inside slack" + tag));
+    // The stretched link is a tree link still in range: no rebuild.
+    EXPECT_EQ(inc.full_checks(), full_after_first) << tag;
+
+    pts[2] = {x1 + outside, 0.0};
+    ASSERT_GT(distance2(pts[1], pts[2]), r2 + 1e-12);
+    EXPECT_FALSE(checked(inc, pts, r, "outside slack" + tag));
+    EXPECT_GT(inc.full_checks(), full_after_first) << tag;
+
+    // Back inside the slack from a split state: the full path must find
+    // the link again.
+    pts[2] = {x1 + inside, 0.0};
+    EXPECT_TRUE(checked(inc, pts, r, "re-linked" + tag));
+
+    // A diagonal link at r through rounded offsets.
+    checked(inc, {{0.0, 0.0}, {0.6 * r, 0.8 * r}}, r, "diagonal" + tag);
+  }
+}
+
+TEST(ConnectivityCertificate, ConnectedSplitConnectedSequence) {
+  // Two clusters drift apart until the bridge breaks, then back together;
+  // the certificate is dropped on the split and rebuilt on the rejoin.
+  // Each cluster is a 4 x 5 lattice of spacing 2; the bridge between them
+  // is 2 + gap long.
+  const double r = 4.0;
+  IncrementalConnectivity inc(r);
+  std::vector<Vec2> lattice;
+  for (int i = 0; i < 20; ++i) lattice.push_back({2.0 * (i % 4), 2.0 * (i / 4)});
+  std::vector<Vec2> pts(40);
+  int connected = 0, split = 0;
+  std::uint64_t hits_while_split = 0;
+  for (int step = 0; step <= 120; ++step) {
+    // Gap sweeps 0 -> 12 -> 0 in steps of 0.2.
+    const double gap = step <= 60 ? 0.2 * step : 0.2 * (120 - step);
+    for (std::size_t i = 0; i < 20; ++i) {
+      pts[i] = lattice[i];
+      pts[20 + i] = lattice[i] + Vec2{8.0 + gap, 0.0};
+    }
+    const std::uint64_t hits = inc.certificate_hits();
+    if (checked(inc, pts, r, "gap " + std::to_string(gap))) {
+      ++connected;
+    } else {
+      ++split;
+      hits_while_split += inc.certificate_hits() - hits;
+    }
+  }
+  EXPECT_GT(connected, 0);
+  EXPECT_GT(split, 0);
+  EXPECT_EQ(hits_while_split, 0u);
+  EXPECT_GT(inc.certificate_hits(), 0u);
+}
+
+TEST(ConnectivityCertificate, ChangeOfSizeMidStream) {
+  const double r = 5.0;
+  IncrementalConnectivity inc(r);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 12; ++i) pts.push_back({4.0 * i, 0.0});
+  EXPECT_TRUE(checked(inc, pts, r, "chain of 12"));
+  EXPECT_TRUE(checked(inc, pts, r, "chain of 12 again"));
+  EXPECT_GT(inc.certificate_hits(), 0u);
+
+  // A far-away 13th robot: the old tree still holds over robots 0..11 but
+  // does not span the new one.
+  pts.push_back({500.0, 500.0});
+  EXPECT_FALSE(checked(inc, pts, r, "isolated 13th robot"));
+  pts.back() = {48.0, 0.0};
+  EXPECT_TRUE(checked(inc, pts, r, "13th robot joins the chain"));
+
+  // Shrink: dropping the chain's middle robot splits it; dropping the end
+  // robot keeps it whole.
+  std::vector<Vec2> holed(pts.begin(), pts.end());
+  holed.erase(holed.begin() + 6);
+  EXPECT_FALSE(checked(inc, holed, r, "middle robot removed"));
+  pts.pop_back();
+  EXPECT_TRUE(checked(inc, pts, r, "end robot removed"));
+  EXPECT_TRUE(checked(inc, {pts.front()}, r, "single robot"));
+  EXPECT_TRUE(checked(inc, {}, r, "empty"));
+  EXPECT_TRUE(checked(inc, pts, r, "back to 12"));
 }
 
 TEST(Connectivity, ComponentsAndBfs) {
