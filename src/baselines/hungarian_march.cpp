@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "coverage/lloyd.h"
 #include "march/metrics.h"
+#include "march/stages.h"
 #include "matching/hungarian.h"
 
 namespace anr {
@@ -35,19 +36,14 @@ MarchPlan HungarianMarchPlanner::plan(const std::vector<Vec2>& positions,
   plan.transition_end = opt_.transition_time;
   plan.total_time = opt_.transition_time;
 
-  std::vector<Polygon> obstacles = m1_.holes();
-  for (const Polygon& h : m2_.holes()) obstacles.push_back(h.translated(m2_offset));
-
   plan.mapped_targets.resize(n);
-  plan.final_positions.resize(n);
-  plan.trajectories.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Vec2 q = goals[static_cast<std::size_t>(match.row_to_col[i])];
-    plan.mapped_targets[i] = q;
-    plan.final_positions[i] = q;
-    plan.trajectories.push_back(
-        make_timed_path(positions[i], q, 0.0, opt_.transition_time, obstacles));
+    plan.mapped_targets[i] = goals[static_cast<std::size_t>(match.row_to_col[i])];
   }
+  plan.final_positions = plan.mapped_targets;
+  plan.trajectories =
+      straight_transitions(positions, plan.mapped_targets, opt_.transition_time,
+                           transition_obstacles(m1_, m2_, m2_offset));
   plan.predicted_link_ratio = predicted_stable_link_ratio(
       positions, plan.mapped_targets, communication_links(positions, r_c_),
       r_c_);

@@ -1,7 +1,5 @@
 #include "march/distributed_rotation.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "net/network.h"
 #include "net/protocols/flood.h"
@@ -17,7 +15,6 @@ DistributedRotationResult distributed_rotation_search(
     const std::function<std::vector<Vec2>(double)>& map_targets,
     const std::vector<Vec2>& positions, double r_c, MarchObjective objective,
     const RotationSearchOptions& opt) {
-  ANR_CHECK(opt.initial_partitions >= 1 && opt.depth >= 0);
   const std::size_t n = positions.size();
   auto adj = net::unit_disk_adjacency(positions, r_c);
 
@@ -58,49 +55,18 @@ DistributedRotationResult distributed_rotation_search(
     auto sum = net::run_flood_sum(flood_net, local);
     out.messages += sum.messages;
     out.rounds += sum.rounds;
-    ++out.evaluations;
 
     // Method (a): maximize preserved links (the denominator, total initial
     // links, is constant across probes — ratio ordering is unchanged).
     return sum.sum;
   };
 
-  out.value = -1e300;
-  auto consider = [&](double theta, double v) {
-    if (v > out.value) {
-      out.value = v;
-      out.angle = theta;
-    }
-  };
-
-  double seg = 2.0 * M_PI / opt.initial_partitions;
-  double lo = 0.0, hi = seg;
-  double best_seg = -1e300;
-  for (int i = 0; i < opt.initial_partitions; ++i) {
-    double a = i * seg, b = (i + 1) * seg;
-    double mid = (a + b) / 2.0;
-    double v = probe(mid);
-    consider(mid, v);
-    if (v > best_seg) {
-      best_seg = v;
-      lo = a;
-      hi = b;
-    }
-  }
-  for (int d = 0; d < opt.depth; ++d) {
-    double mid = (lo + hi) / 2.0;
-    double lmid = (lo + mid) / 2.0;
-    double rmid = (mid + hi) / 2.0;
-    double vl = probe(lmid);
-    consider(lmid, vl);
-    double vr = probe(rmid);
-    consider(rmid, vr);
-    if (vl >= vr) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
+  // Every robot takes the same branch of the interval search, so the
+  // probe sequence is the centralized search's.
+  RotationSearchResult rot = search_rotation(probe, opt);
+  out.angle = rot.angle;
+  out.value = rot.value;
+  out.evaluations = rot.evaluations;
   return out;
 }
 

@@ -14,7 +14,8 @@
 //
 // Construction does all the M2-side precomputation (meshing, harmonic
 // map, CVT sampling); plan() is then cheap per robot configuration and
-// per M1–M2 separation (M2 is rigidly offset by `m2_offset`).
+// per M1–M2 separation (M2 is rigidly offset by `m2_offset`). Stages both
+// planners run live in march/stages.h.
 #pragma once
 
 #include <cstddef>
@@ -25,19 +26,12 @@
 
 #include "common/status.h"
 #include "coverage/density.h"
-#include "coverage/grid_cvt.h"
 #include "coverage/lloyd.h"
-#include "coverage/local_voronoi.h"
 #include "harmonic/disk_map.h"
 #include "foi/foi.h"
-#include "foi/foi_mesher.h"
-#include "harmonic/composition.h"
-#include "harmonic/rotation_search.h"
 #include "march/repair.h"
+#include "march/stages.h"
 #include "march/terrain_router.h"
-#include "march/trajectory.h"
-#include "mesh/mesh_quality.h"
-#include "obs/metrics.h"
 
 namespace anr {
 
@@ -166,6 +160,9 @@ struct PlanOutcome {
   bool ok() const { return status.ok(); }
 };
 
+/// Working state of one plan, passed from stage to stage (planner.cpp).
+struct PlanContext;
+
 /// Plans marches from M1 into (rigid translates of) the M2 shape.
 class MarchPlanner {
  public:
@@ -244,18 +241,25 @@ class MarchPlanner {
   MarchPlan plan_impl(const std::vector<Vec2>& positions, Vec2 m2_offset,
                       double alpha_scale) const;
 
+  // plan_impl's stages in order; each reads and fills the context.
+  void route_terrain(PlanContext& ctx) const;              // terrain ToA
+  void extract_t(PlanContext& ctx, double alpha_scale) const;  // step 1
+  void map_t_to_disk(PlanContext& ctx) const;              // step 2
+  void search_rotation_angle(PlanContext& ctx) const;      // step 4
+  void interpolate_targets(PlanContext& ctx) const;        // step 5
+  void repair_targets_stage(PlanContext& ctx) const;       // step 6
+  void build_transitions(PlanContext& ctx) const;          // step 7
+  void guard_transition(PlanContext& ctx) const;           // terrain C = 1
+  void adjust(PlanContext& ctx) const;                     // step 8
+
   FieldOfInterest m1_;
   FieldOfInterest m2_;
   double r_c_;
   PlannerOptions opt_;
   Instruments ins_;
 
-  // M2-side precomputation (origin frame).
-  FoiMesh m2_mesh_;
-  std::unique_ptr<OverlapInterpolator> interpolator_;
-  std::unique_ptr<GridCvt> cvt_;
+  M2Model m2_model_;  ///< M2-side precomputation (step 3, origin frame)
   std::unique_ptr<LocalVoronoiLloyd> local_lloyd_;
-  MeshStats m2_stats_;
 };
 
 }  // namespace anr

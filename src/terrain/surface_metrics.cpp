@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "net/connectivity.h"
+#include "terrain/surface_planner.h"
 
 namespace anr {
 
@@ -21,23 +22,6 @@ double surface_length_between(const Trajectory& tr, double t0, double t1,
   }
   len += terrain.surface_length(prev, tr.position(t1));
   return len;
-}
-
-// Unit-disk adjacency under the lifted (3D chord) metric.
-std::vector<std::vector<int>> lifted_adjacency(const std::vector<Vec2>& pos,
-                                               const HeightField& terrain,
-                                               double r_c) {
-  const std::size_t n = pos.size();
-  std::vector<std::vector<int>> adj(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (terrain.chord_distance(pos[i], pos[j]) <= r_c + 1e-9) {
-        adj[i].push_back(static_cast<int>(j));
-        adj[j].push_back(static_cast<int>(i));
-      }
-    }
-  }
-  return adj;
 }
 
 }  // namespace
@@ -74,14 +58,8 @@ SurfaceMetrics simulate_on_surface(const std::vector<Trajectory>& trajs,
   // Initial links under the 3D metric.
   std::vector<Vec2> pos(n);
   for (std::size_t i = 0; i < n; ++i) pos[i] = trajs[i].position(t0);
-  std::vector<std::pair<int, int>> links;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (terrain.chord_distance(pos[i], pos[j]) <= r_c + 1e-9) {
-        links.emplace_back(static_cast<int>(i), static_cast<int>(j));
-      }
-    }
-  }
+  const std::vector<std::pair<int, int>> links =
+      surface_links(pos, terrain, r_c);
   out.base.initial_links = static_cast<int>(links.size());
   std::vector<char> alive(links.size(), 1);
   std::vector<char> alive_transition(links.size(), 1);
@@ -107,7 +85,7 @@ SurfaceMetrics simulate_on_surface(const std::vector<Trajectory>& trajs,
       }
     }
     if (out.base.global_connectivity &&
-        !net::is_connected(lifted_adjacency(pos, terrain, r_c))) {
+        !net::is_connected(surface_adjacency(pos, terrain, r_c))) {
       out.base.global_connectivity = false;
       out.base.first_disconnect_time = t;
     }

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/check.h"
 #include "harmonic/disk_map.h"
 #include "march/repair.h"
 #include "mesh/alpha_extract.h"
-#include "mesh/boundary.h"
 #include "mesh/delaunay.h"
 #include "mesh/hole_fill.h"
 #include "net/connectivity.h"
@@ -88,23 +86,29 @@ SurfaceMarchPlanner::SurfaceMarchPlanner(FieldOfInterest m1,
       r_c_(r_c),
       opt_(std::move(options)) {
   ANR_CHECK(r_c_ > 0.0);
-
-  m2_mesh_ = mesh_foi(m2_, opt_.mesher);
-  HoleFillResult filled = fill_holes(m2_mesh_.mesh);
-  DiskMapOptions dopt;
-  dopt.custom_weight = surface_mean_value_weights(terrain_);
-  DiskMap disk = harmonic_disk_map(filled.mesh, dopt);
-  ANR_CHECK_MSG(disk.converged, "M2 surface harmonic map did not converge");
-  interpolator_ = std::make_unique<OverlapInterpolator>(filled, disk);
-
+  DiskMapOptions disk;
+  disk.custom_weight = surface_mean_value_weights(terrain_);
   // CVT density scaled by the surface area element: equalize surface
   // area per robot, not map area.
-  const HeightField& hf = terrain_;
-  DensityFn slope_density = [&hf](Vec2 p) {
-    Vec2 g = hf.gradient(p);
-    return std::sqrt(1.0 + g.norm2());
+  DensityFn slope_density = [hf = terrain_](Vec2 p) {
+    return std::sqrt(1.0 + hf.gradient(p).norm2());
   };
-  cvt_ = std::make_unique<GridCvt>(m2_, slope_density, opt_.cvt_samples);
+  m2_model_ = precompute_m2(m2_, opt_.mesher, disk, slope_density,
+                            opt_.cvt_samples);
+}
+
+double SurfaceMarchPlanner::chord_link_ratio(
+    const std::vector<Vec2>& q,
+    const std::vector<std::pair<int, int>>& links) const {
+  if (links.empty()) return 1.0;
+  int stable = 0;
+  for (auto [i, j] : links) {
+    if (chord(q[static_cast<std::size_t>(i)], q[static_cast<std::size_t>(j)]) <=
+        r_c_ + 1e-9) {
+      ++stable;
+    }
+  }
+  return static_cast<double>(stable) / static_cast<double>(links.size());
 }
 
 MarchPlan SurfaceMarchPlanner::plan(const std::vector<Vec2>& positions,
@@ -114,6 +118,7 @@ MarchPlan SurfaceMarchPlanner::plan(const std::vector<Vec2>& positions,
 
   MarchPlan plan;
   plan.start = positions;
+  plan.m2_stats = m2_model_.stats;
   plan.transition_end = opt_.transition_time;
 
   auto adjacency = surface_adjacency(positions, terrain_, r_c_);
@@ -121,221 +126,76 @@ MarchPlan SurfaceMarchPlanner::plan(const std::vector<Vec2>& positions,
                 "initial deployment is not connected on the surface");
   auto links = surface_links(positions, terrain_, r_c_);
 
-  // --- Triangulation T: planar Delaunay filtered by 3D chord length.
+  // Steps 1-2: T is the planar Delaunay triangulation filtered by chord
+  // length, mapped to the disk with the lifted mean-value weights.
+  auto in_range = [&](VertexId a, VertexId b) {
+    return chord(positions[static_cast<std::size_t>(a)],
+                 positions[static_cast<std::size_t>(b)]) <= r_c_;
+  };
   TriangleMesh dt = delaunay(positions);
   std::vector<Tri> kept;
   for (const Tri& t : dt.triangles()) {
-    if (chord(positions[static_cast<std::size_t>(t[0])],
-              positions[static_cast<std::size_t>(t[1])]) <= r_c_ &&
-        chord(positions[static_cast<std::size_t>(t[1])],
-              positions[static_cast<std::size_t>(t[2])]) <= r_c_ &&
-        chord(positions[static_cast<std::size_t>(t[2])],
-              positions[static_cast<std::size_t>(t[0])]) <= r_c_) {
+    if (in_range(t[0], t[1]) && in_range(t[1], t[2]) && in_range(t[2], t[0])) {
       kept.push_back(t);
     }
   }
-  AlphaExtraction ext = clean_to_manifold(TriangleMesh(positions, std::move(kept)));
+  AlphaExtraction ext =
+      clean_to_manifold(TriangleMesh(positions, std::move(kept)));
   plan.unmeshed_robots = static_cast<int>(ext.unmeshed.size());
   plan.t_stats = mesh_stats(ext.mesh);
+  const CompactT t = compact_t(ext.mesh);
+  DiskMapOptions disk;
+  disk.custom_weight = surface_mean_value_weights(terrain_);
+  DiskMap t_disk = harmonic_disk_map(fill_holes(t.mesh).mesh, disk);
+  const TargetMapper mapper(*m2_model_.interpolator, positions, t,
+                            t_disk.disk_pos, adjacency, m2_offset);
 
-  // Compact for mapping.
-  std::vector<int> robot_to_compact(n, -1);
-  std::vector<Vec2> cverts;
-  std::vector<Tri> ctris;
-  for (const Tri& t : ext.mesh.triangles()) {
-    Tri nt{};
-    for (int k = 0; k < 3; ++k) {
-      VertexId v = t[static_cast<std::size_t>(k)];
-      int& slot = robot_to_compact[static_cast<std::size_t>(v)];
-      if (slot < 0) {
-        slot = static_cast<int>(cverts.size());
-        cverts.push_back(ext.mesh.position(v));
-      }
-      nt[static_cast<std::size_t>(k)] = slot;
-    }
-    ctris.push_back(nt);
-  }
-  TriangleMesh t_compact(std::move(cverts), std::move(ctris));
-
-  HoleFillResult t_filled = fill_holes(t_compact);
-  DiskMapOptions dopt;
-  dopt.custom_weight = surface_mean_value_weights(terrain_);
-  DiskMap t_disk = harmonic_disk_map(t_filled.mesh, dopt);
-
-  // Boundary robots of T's outer loop.
-  std::vector<char> is_boundary(n, 0);
-  {
-    auto loops = boundary_loops(t_compact);
-    std::size_t outer = outer_loop_index(t_compact, loops);
-    std::vector<int> compact_to_robot(t_compact.num_vertices(), -1);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (robot_to_compact[r] >= 0) {
-        compact_to_robot[static_cast<std::size_t>(robot_to_compact[r])] =
-            static_cast<int>(r);
-      }
-    }
-    for (VertexId v : loops[outer].vertices) {
-      is_boundary[static_cast<std::size_t>(
-          compact_to_robot[static_cast<std::size_t>(v)])] = 1;
-    }
-  }
-
-  // Anchors for unmeshed robots.
-  std::vector<int> anchor(n, -1);
-  {
-    std::queue<int> q;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (robot_to_compact[r] >= 0) {
-        anchor[r] = static_cast<int>(r);
-        q.push(static_cast<int>(r));
-      }
-    }
-    ANR_CHECK_MSG(!q.empty(), "surface triangulation kept no robot");
-    while (!q.empty()) {
-      int v = q.front();
-      q.pop();
-      for (int u : adjacency[static_cast<std::size_t>(v)]) {
-        if (anchor[static_cast<std::size_t>(u)] < 0) {
-          anchor[static_cast<std::size_t>(u)] = anchor[static_cast<std::size_t>(v)];
-          q.push(u);
-        }
-      }
-    }
-  }
-
-  auto map_targets = [&](double theta, int* snapped) {
-    std::vector<Vec2> q(n);
-    std::vector<char> done(n, 0);
-    int snaps = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      int cv = robot_to_compact[r];
-      if (cv < 0) continue;
-      Vec2 z = t_disk.disk_pos[static_cast<std::size_t>(cv)].rotated(theta);
-      MappedTarget t = interpolator_->map_point(z);
-      q[r] = t.world + m2_offset;
-      done[r] = 1;
-      if (t.snapped) ++snaps;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      if (done[r]) continue;
-      int a = anchor[r];
-      q[r] = positions[r] + (q[static_cast<std::size_t>(a)] -
-                             positions[static_cast<std::size_t>(a)]);
-    }
-    if (snapped != nullptr) *snapped = snaps;
-    return q;
-  };
-
-  auto objective = [&](double theta) {
-    std::vector<Vec2> q = map_targets(theta, nullptr);
+  // Step 4: method (a) keeps the most chord links, method (b) minimizes
+  // surface travel distance.
+  auto objective = [&](const std::vector<Vec2>& q, std::vector<double>&) {
     if (opt_.objective == MarchObjective::kMinDistance) {
       double d = 0.0;
-      for (std::size_t r = 0; r < n; ++r) d += terrain_.surface_length(positions[r], q[r], 8);
+      for (std::size_t r = 0; r < n; ++r) {
+        d += terrain_.surface_length(positions[r], q[r], 8);
+      }
       return -d;
     }
-    // Surface-metric stable-link predictor.
-    int stable = 0;
-    for (auto [i, j] : links) {
-      if (chord(q[static_cast<std::size_t>(i)], q[static_cast<std::size_t>(j)]) <=
-          r_c_ + 1e-9) {
-        ++stable;
-      }
-    }
-    return links.empty() ? 1.0
-                         : static_cast<double>(stable) /
-                               static_cast<double>(links.size());
+    return chord_link_ratio(q, links);
   };
-
-  RotationSearchResult rot = search_rotation(objective, opt_.rotation);
+  RotationSearchResult rot =
+      search_rotation(batch_rotation_objective(mapper, objective), opt_.rotation);
   plan.rotation_angle = rot.angle;
   plan.rotation_objective = rot.value;
   plan.rotation_evaluations = rot.evaluations;
 
-  std::vector<Vec2> targets = map_targets(rot.angle, &plan.snapped_targets);
-
-  // Repair with the lifted metric.
-  const HeightField& hf = terrain_;
-  RepairReport rep = repair_targets(
-      positions, targets, adjacency, is_boundary, r_c_,
-      [&hf](Vec2 a, Vec2 b) { return hf.chord_distance(a, b); });
+  // Steps 5-6: targets at the chosen angle, repaired with the lifted
+  // metric.
+  MapScratch final_map;
+  plan.snapped_targets = mapper.map_into(rot.angle, final_map);
+  plan.mapped_targets = std::move(final_map.q);
+  std::vector<Vec2>& targets = plan.mapped_targets;
+  RepairReport rep =
+      repair_targets(positions, targets, adjacency, t.is_boundary, r_c_,
+                     [this](Vec2 a, Vec2 b) { return chord(a, b); });
   plan.repaired_robots = rep.repaired;
   plan.repaired_subgroups = rep.subgroups;
-  plan.mapped_targets = targets;
-  {
-    int stable = 0;
-    for (auto [i, j] : links) {
-      if (chord(targets[static_cast<std::size_t>(i)],
-                targets[static_cast<std::size_t>(j)]) <= r_c_ + 1e-9) {
-        ++stable;
-      }
-    }
-    plan.predicted_link_ratio =
-        links.empty() ? 1.0
-                      : static_cast<double>(stable) /
-                            static_cast<double>(links.size());
-  }
+  plan.predicted_link_ratio = chord_link_ratio(targets, links);
 
-  // Trajectories on the map plane (holes are obstacles as usual).
-  std::vector<Polygon> obstacles = m1_.holes();
-  for (const Polygon& h : m2_.holes()) obstacles.push_back(h.translated(m2_offset));
-  plan.trajectories.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    plan.trajectories.push_back(make_timed_path(
-        positions[r], targets[r], 0.0, opt_.transition_time, obstacles));
-  }
-
-  // Connectivity-safe Lloyd with slope-weighted centroids and the lifted
-  // link model.
-  double max_disp = 1e-9;
-  for (std::size_t r = 0; r < n; ++r) {
-    max_disp = std::max(max_disp, distance(positions[r], targets[r]));
-  }
-  double speed_ref = max_disp / opt_.transition_time;
-  std::vector<Vec2> cur = targets;
-  double t = opt_.transition_time;
-  std::vector<Polygon> m2_obstacles;
-  for (const Polygon& h : m2_.holes()) m2_obstacles.push_back(h.translated(m2_offset));
-  for (int step = 0; step < opt_.max_adjust_steps; ++step) {
-    std::vector<Vec2> local(n);
-    for (std::size_t r = 0; r < n; ++r) local[r] = cur[r] - m2_offset;
-    std::vector<Vec2> cents = cvt_->centroids(local);
-    std::vector<Vec2> cand(n);
-    for (std::size_t r = 0; r < n; ++r) cand[r] = cents[r] + m2_offset;
-
-    double factor = 1.0;
-    std::vector<Vec2> trial(n);
-    bool ok = false;
-    for (int halving = 0; halving < 7; ++halving) {
-      for (std::size_t r = 0; r < n; ++r) trial[r] = lerp(cur[r], cand[r], factor);
-      if (net::is_connected(surface_adjacency(trial, terrain_, r_c_))) {
-        ok = true;
-        break;
-      }
-      factor /= 2.0;
-    }
-    if (!ok) break;
-    double max_move = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      max_move = std::max(max_move, distance(trial[r], cur[r]));
-    }
-    if (max_move <= opt_.adjust.tol) {
-      cur = trial;
-      ++plan.adjust_steps;
-      break;
-    }
-    double dt = std::max(max_move / speed_ref, 1e-6);
-    for (std::size_t r = 0; r < n; ++r) {
-      Trajectory seg = make_timed_path(cur[r], trial[r], t, t + dt, m2_obstacles);
-      for (std::size_t w = 1; w < seg.num_waypoints(); ++w) {
-        plan.trajectories[r].append(seg.waypoints()[w], seg.times()[w]);
-      }
-    }
-    cur = trial;
-    t += dt;
-    ++plan.adjust_steps;
-  }
-  plan.final_positions = cur;
-  plan.total_time = t;
+  // Step 7 on the map plane (holes are obstacles as usual), then step 8
+  // with slope-weighted centroids and the lifted link model.
+  plan.trajectories =
+      straight_transitions(positions, targets, opt_.transition_time,
+                           transition_obstacles(m1_, m2_, m2_offset));
+  AdjustStage stage;
+  stage.cvt = m2_model_.cvt.get();
+  stage.max_steps = opt_.max_adjust_steps;
+  stage.tol = opt_.adjust.tol;
+  adjust_toward_cvt(
+      stage, m2_, m2_offset,
+      [&](const std::vector<Vec2>&, const std::vector<Vec2>& trial) {
+        return net::is_connected(surface_adjacency(trial, terrain_, r_c_));
+      },
+      plan);
   return plan;
 }
 

@@ -1,28 +1,24 @@
-// Surface-aware marching — the full 3D-surface prototype of the paper's
-// future work (Sec. V), not just post-hoc evaluation.
-//
-// Robots live on a height-field surface. Everything that is metric in
-// the paper's pipeline switches to the surface metric:
+// Surface-aware marching — the 3D-surface prototype of the paper's future
+// work (Sec. V). It runs MarchPlanner's pipeline stages (march/stages.h)
+// with its own link model for robots on a height-field surface:
 //   - the communication graph and triangulation T use lifted 3D (chord)
-//     distances for the range test;
-//   - both harmonic maps use mean-value weights computed from 3D edge
-//     lengths (the discrete harmonic map of the *surface* mesh, which is
-//     exactly how the paper's cited machinery generalizes to surfaces);
+//     distances for the range test (planar Delaunay filtered by chord);
+//   - both harmonic maps use mean-value weights from 3D edge lengths (the
+//     discrete harmonic map of the *surface* mesh);
 //   - the rotation objective, the subgroup repair, and the connectivity-
-//     safe adjustment all test links with the 3D chord metric;
+//     safe adjustment all test links with the chord metric;
 //   - the CVT density is scaled by the surface area element
-//     sqrt(1 + |grad z|^2), so robots equalize *surface* area, not map
-//     area.
+//     sqrt(1 + |grad z|^2), so robots equalize *surface* area.
 // Trajectories remain paths over the map plane (the robot drives the
 // terrain under them); measure them with simulate_on_surface.
 #pragma once
 
-#include <memory>
+#include <functional>
+#include <utility>
+#include <vector>
 
-#include "coverage/grid_cvt.h"
-#include "foi/foi_mesher.h"
-#include "harmonic/composition.h"
 #include "march/planner.h"
+#include "march/stages.h"
 #include "terrain/height_field.h"
 
 namespace anr {
@@ -37,7 +33,7 @@ struct SurfacePlannerOptions {
   double transition_time = 1.0;
 };
 
-/// Plans marches over a height field. API mirrors MarchPlanner.
+/// Plans marches over a height field; plan() has MarchPlanner's contract.
 class SurfaceMarchPlanner {
  public:
   SurfaceMarchPlanner(FieldOfInterest m1, FieldOfInterest m2_shape,
@@ -53,16 +49,16 @@ class SurfaceMarchPlanner {
 
  private:
   double chord(Vec2 a, Vec2 b) const { return terrain_.chord_distance(a, b); }
+  /// Share of `links` whose endpoints at `q` stay within chord range.
+  double chord_link_ratio(const std::vector<Vec2>& q,
+                          const std::vector<std::pair<int, int>>& links) const;
 
   FieldOfInterest m1_;
   FieldOfInterest m2_;
   HeightField terrain_;
   double r_c_;
   SurfacePlannerOptions opt_;
-
-  FoiMesh m2_mesh_;
-  std::unique_ptr<OverlapInterpolator> interpolator_;
-  std::unique_ptr<GridCvt> cvt_;
+  M2Model m2_model_;  ///< lifted weights, slope-scaled CVT density
 };
 
 /// Lifted unit-disk adjacency: links iff 3D chord distance <= r_c.
