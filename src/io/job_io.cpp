@@ -1,5 +1,6 @@
 #include "io/job_io.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +13,19 @@
 namespace anr {
 
 namespace {
+
+// Field `key` of `v` as an integer of type T, truncated toward zero. A
+// non-finite or out-of-range number is a typed error (the plain cast
+// would be undefined behaviour).
+template <class T>
+T integer_field(const json::Value& v, const char* key) {
+  const double x = v.at(key).as_number();
+  if (!(x > static_cast<double>(std::numeric_limits<T>::min()) - 1.0 &&
+        x < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    throw std::runtime_error(std::string(key) + " is out of range");
+  }
+  return static_cast<T>(x);
+}
 
 json::Value polygon_to_json(const Polygon& p) {
   json::Array xs, ys;
@@ -68,15 +82,13 @@ PlannerOptions options_from_json(const json::Value& v) {
     }
   }
   if (v.has("grid_points")) {
-    opt.mesher.target_grid_points =
-        static_cast<int>(v.at("grid_points").as_number());
+    opt.mesher.target_grid_points = integer_field<int>(v, "grid_points");
   }
   if (v.has("cvt_samples")) {
-    opt.cvt_samples = static_cast<int>(v.at("cvt_samples").as_number());
+    opt.cvt_samples = integer_field<int>(v, "cvt_samples");
   }
   if (v.has("max_adjust_steps")) {
-    opt.max_adjust_steps =
-        static_cast<int>(v.at("max_adjust_steps").as_number());
+    opt.max_adjust_steps = integer_field<int>(v, "max_adjust_steps");
   }
   if (v.has("safe_adjustment")) {
     opt.safe_adjustment = v.at("safe_adjustment").as_bool();
@@ -90,10 +102,10 @@ PlannerOptions options_from_json(const json::Value& v) {
   }
   if (v.has("rotation_partitions")) {
     opt.rotation.initial_partitions =
-        static_cast<int>(v.at("rotation_partitions").as_number());
+        integer_field<int>(v, "rotation_partitions");
   }
   if (v.has("rotation_depth")) {
-    opt.rotation.depth = static_cast<int>(v.at("rotation_depth").as_number());
+    opt.rotation.depth = integer_field<int>(v, "rotation_depth");
   }
   if (v.has("extraction")) {
     const std::string& e = v.at("extraction").as_string();
@@ -163,7 +175,7 @@ JobRequest job_from_json(
   std::uint64_t seed = 1;
   std::string geometry_key;
   if (v.has("scenario")) {
-    int id = static_cast<int>(v.at("scenario").as_number());
+    int id = integer_field<int>(v, "scenario");
     Scenario sc = scenario(id);
     job.m1 = sc.m1;
     job.m2_shape = sc.m2_shape;
@@ -181,9 +193,9 @@ JobRequest job_from_json(
         "request needs geometry: a \"scenario\" id or explicit m1/m2");
   }
   if (v.has("r_c")) job.r_c = v.at("r_c").as_number();
-  if (v.has("robots")) robots = static_cast<int>(v.at("robots").as_number());
+  if (v.has("robots")) robots = integer_field<int>(v, "robots");
   if (v.has("seed")) {
-    seed = static_cast<std::uint64_t>(v.at("seed").as_number());
+    seed = integer_field<std::uint64_t>(v, "seed");
   }
 
   if (v.has("deadline")) {

@@ -1,6 +1,7 @@
 #include "io/terrain_io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 
@@ -167,9 +168,17 @@ std::optional<ToaSnapshot> load_toa(const std::string& path,
     set_error(error, path + ": invalid grid shape");
     return std::nullopt;
   }
+  // The checksum covers the payload only, so the header fields are
+  // validated on their own.
+  if (!std::isfinite(snap.cell) || snap.cell <= 0.0) {
+    set_error(error, path + ": invalid cell size");
+    return std::nullopt;
+  }
   const std::size_t cells =
       static_cast<std::size_t>(snap.nx) * static_cast<std::size_t>(snap.ny);
-  if (doc.size() != kHeader + cells * 8 + 8) {
+  // Divides instead of multiplying so a huge shape cannot wrap around.
+  if ((doc.size() - kHeader - 8) % 8 != 0 ||
+      (doc.size() - kHeader - 8) / 8 != cells) {
     set_error(error, path + ": truncated ToA payload");
     return std::nullopt;
   }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -299,6 +300,63 @@ TEST(TerrainIo, ToaRoundTripAndChecksumValidation) {
   }
   EXPECT_FALSE(load_toa(path, &err).has_value());
   EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+  std::remove(path.c_str());
+}
+
+// Every truncation and every single-byte change of a small ToA record
+// either loads or fails with an error message; nothing crashes. The
+// checksum covers the payload only, so the header is validated on its
+// own: a changed cell-size byte that still gives a finite positive size
+// loads with that size, and every other change is refused.
+TEST(TerrainIo, ToaDecoderSurvivesTruncationAndByteFlips) {
+  CostFieldSpec spec;
+  spec.bounds = box(0.0, 0.0, 40.0, 30.0);
+  spec.max_cells = 4;
+  const CostField field = CostField::build(spec, HeightField{});
+  const FastMarchResult fm = fast_march(field, {5.0, 5.0});
+  const std::string path = "test_fmm_toa_fuzz.anrtoa";
+  std::string err;
+  ASSERT_TRUE(save_toa(field, fm.toa, path, &err)) << err;
+  std::string doc;
+  {
+    std::ifstream in(path, std::ios::binary);
+    doc.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  auto load_bytes = [&](const std::string& bytes) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    return load_toa(path, &err);
+  };
+
+  for (std::size_t len = 0; len < doc.size(); ++len) {
+    EXPECT_FALSE(load_bytes(doc.substr(0, len)).has_value()) << "prefix " << len;
+    EXPECT_FALSE(err.empty());
+  }
+  const std::size_t kCellOffset = 16;  // magic, nx, ny
+  int loaded = 0;
+  int refused_cell = 0;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const bool cell_byte = i >= kCellOffset && i < kCellOffset + 8;
+    for (int mask = 1; mask < 256; ++mask) {
+      std::string bad = doc;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      auto snap = load_bytes(bad);
+      if (!snap.has_value()) {
+        ASSERT_FALSE(err.empty());
+        if (cell_byte) ++refused_cell;
+        continue;
+      }
+      ASSERT_TRUE(cell_byte) << "byte " << i << " ^ " << mask << " loaded";
+      EXPECT_TRUE(std::isfinite(snap->cell) && snap->cell > 0.0);
+      EXPECT_EQ(snap->toa, fm.toa);
+      ++loaded;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused_cell, 0);
   std::remove(path.c_str());
 }
 

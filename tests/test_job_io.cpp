@@ -2,6 +2,12 @@
 // explicit geometry, options), deployment memoization, result lines.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "common/check.h"
 #include "foi/scenario.h"
 #include "foi/shapes.h"
 #include "io/job_io.h"
@@ -87,6 +93,53 @@ TEST(JobIo, MissingGeometryAndBadEnumsThrow) {
   EXPECT_THROW(job_from_json(json::parse(
                    R"({"scenario": 1, "options": {"extraction": "zz"}})")),
                std::runtime_error);
+}
+
+TEST(JobIo, OutOfRangeIntegerFieldsThrow) {
+  // Casting these to int would be undefined behaviour; they are refused.
+  for (const char* line :
+       {R"({"scenario": 1e300})", R"({"scenario": 1, "robots": -1e30})",
+        R"({"scenario": 1, "seed": -1})", R"({"scenario": 1, "seed": 1e20})",
+        R"({"scenario": 1, "options": {"grid_points": 3e10}})",
+        R"({"scenario": 1, "options": {"rotation_depth": -3e9}})"}) {
+    EXPECT_THROW(job_from_json(json::parse(line)), std::runtime_error) << line;
+  }
+}
+
+// Every truncation and every single-byte change of a valid job line
+// either parses into a request or throws a typed error (a JSON parse
+// error or other runtime_error, or a ContractViolation); nothing crashes.
+TEST(JobIo, JobLineSurvivesTruncationAndByteFlips) {
+  const std::string line =
+      R"({"id":"f","scenario":1,"robots":8,"seed":3,"separation":12.5,)"
+      R"("options":{"objective":"a","grid_points":350,"cvt_samples":4000,)"
+      R"("max_adjust_steps":5}})";
+  std::map<std::string, std::vector<Vec2>> memo;
+  ASSERT_NO_THROW(job_from_json(json::parse(line), &memo));
+  int parsed = 0;
+  int refused = 0;
+  auto feed = [&](const std::string& text) {
+    try {
+      job_from_json(json::parse(text), &memo);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    } catch (const ContractViolation&) {
+      ++refused;
+    }
+  };
+  for (std::size_t len = 0; len < line.size(); ++len) {
+    feed(line.substr(0, len));
+  }
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::string bad = line;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      feed(bad);
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(JobIo, ResultLinesCarryDiagnosticsAndErrors) {
