@@ -4,7 +4,9 @@
 //
 //   - GridIndex build + radius queries;
 //   - GridCvt::centroids_into, one Lloyd step's Voronoi assignment and
-//     centroid sums at the planner's default sampling;
+//     centroid sums at the planner's default sampling, on fixed sites
+//     (cached candidate lists) and over real Lloyd steps (list rebuilds
+//     included);
 //   - OverlapInterpolator::map_all at a fixed theta (pure warm-start) and
 //     across a theta sweep (the rotation-search access pattern), with and
 //     without caller-owned buffers;
@@ -81,14 +83,27 @@ BENCHMARK(BM_UnitDiskAdjacency)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
 // pass is ~1 ms, so waking workers on a shared host would dominate its
 // spread; the BM_*Threads benches cover fork-join scaling.
 
-void BM_GridCvtCentroids(benchmark::State& state) {
+const GridCvt& scenario1_cvt() {
   static const GridCvt grid(scenario(1).m2_shape, uniform_density(),
                             PlannerOptions{}.cvt_samples);
+  return grid;
+}
+
+std::vector<Vec2> cvt_start(const GridCvt& grid, std::int64_t n) {
   Rng rng(29);
   std::vector<Vec2> sites;
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
+  for (std::int64_t i = 0; i < n; ++i) {
     sites.push_back(grid.foi().sample_point(rng));
   }
+  return sites;
+}
+
+// The same sites on every call: after the first, every call reuses the
+// scratch's cached candidate lists, so this measures the cache-hit path
+// only. BM_GridCvtLloydSteps below counts the list rebuilds too.
+void BM_GridCvtCentroids(benchmark::State& state) {
+  const GridCvt& grid = scenario1_cvt();
+  const std::vector<Vec2> sites = cvt_start(grid, state.range(0));
   GridCvt::Scratch scratch;
   std::vector<Vec2> out;
   set_arena_threads(1);
@@ -100,6 +115,31 @@ void BM_GridCvtCentroids(benchmark::State& state) {
   state.counters["samples"] = static_cast<double>(grid.samples().size());
 }
 BENCHMARK(BM_GridCvtCentroids)->Arg(144)->Arg(4096);
+
+// Ten real Lloyd steps per iteration from one fixed random start, the
+// scratch reused across steps and iterations as in the planner: the
+// early steps move the sites far enough to rebuild the candidate lists,
+// the later ones reuse them, and each iteration's jump back to the start
+// rebuilds them once more.
+void BM_GridCvtLloydSteps(benchmark::State& state) {
+  constexpr int kSteps = 10;
+  const GridCvt& grid = scenario1_cvt();
+  const std::vector<Vec2> start = cvt_start(grid, state.range(0));
+  GridCvt::Scratch scratch;
+  std::vector<Vec2> sites, out;
+  set_arena_threads(1);
+  for (auto _ : state) {
+    sites = start;
+    for (int k = 0; k < kSteps; ++k) {
+      grid.centroids_into(sites, scratch, out);
+      sites.swap(out);
+    }
+    benchmark::DoNotOptimize(sites.data());
+  }
+  set_arena_threads(0);
+  state.counters["steps"] = kSteps;
+}
+BENCHMARK(BM_GridCvtLloydSteps)->Arg(144)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 // --- interpolator ----------------------------------------------------------
 

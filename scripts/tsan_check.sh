@@ -16,9 +16,11 @@
 # (encode/decode used concurrently by the serving path), and the FMM
 # suite (per-robot fast-marching solves fanned out over parallel_chunks
 # must produce byte-identical ToA fields at any thread count), and the
-# coverage suite (the CVT's block-coherent Voronoi assignment writes
-# per-chunk candidate buffers inside parallel_chunks, checked at 1 and 4
-# arena threads).
+# coverage suite (the CVT's block-coherent Voronoi assignment builds the
+# per-block candidate lists that a reused Scratch caches across Lloyd
+# steps, and narrows them per step, in per-chunk buffers inside
+# parallel_chunks; checked at 1 and 4 arena threads, lists reused and
+# rebuilt).
 #
 # Usage: scripts/tsan_check.sh [build-dir]
 set -euo pipefail

@@ -8,6 +8,7 @@
 // density-weighted sample mean; snapping is a nearest-sample query.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -26,23 +27,41 @@ class GridCvt {
   GridCvt(const FieldOfInterest& foi, DensityFn density,
           int target_samples = 30000);
 
-  /// Reusable workspace for centroids_into. The site index and the
-  /// accumulator arrays persist across Lloyd steps, so repeated calls at
-  /// steady state do not allocate. Each concurrent caller owns its own
-  /// Scratch (GridCvt itself stays immutable and shareable).
+  /// Reusable workspace for centroids_into. Each concurrent caller owns
+  /// its own Scratch (GridCvt itself stays immutable and shareable).
+  ///
+  /// The per-block candidate lists persist across Lloyd steps. A list is
+  /// built with its reach widened by twice the slack W, and the lists stay
+  /// valid while every site is within W of the position it had at the
+  /// build: a step that moves the sites less than that reuses them as they
+  /// are, and only a larger drift (or a new site count, or another
+  /// GridCvt) rebuilds them. The accumulators persist too, so steps at
+  /// steady state do not allocate.
   struct Scratch {
     /// Sites bucketed at 4 x spacing: the per-sample ring scan that
-    /// settles near-ties (its scan order is the tie-break).
+    /// settles near-ties (its scan order is the tie-break). Built only by
+    /// a call that meets a near-tie.
     GridIndex site_index;
-    /// Sites bucketed at the site density: block-centre queries and the
-    /// per-block candidate lists.
+    /// Sites bucketed at the site density: block-centre queries while
+    /// the candidate lists are built.
     GridIndex site_grid;
-    /// One candidate-site buffer per parallel chunk of sample blocks.
-    std::vector<std::vector<int>> candidates;
+    /// Candidate lists, CSR over the sample blocks: block b's candidates
+    /// are cand_sites[cand_start[b] .. cand_start[b+1]).
+    std::vector<int> cand_start;
+    std::vector<int> cand_sites;
+    /// Site positions the lists were built at, their slack W, and the
+    /// id of the GridCvt they were built for (0: none yet).
+    std::vector<Vec2> built_at;
+    double slack = 0.0;
+    std::uint64_t built_for = 0;
+    /// One buffer per parallel chunk of sample blocks: the lists a build
+    /// concatenates into cand_sites, then each call's narrowed lists.
+    std::vector<std::vector<int>> chunk_sites;
     std::vector<Vec2> acc;
     std::vector<double> mass;
     /// Per-sample nearest-site assignment, filled in parallel (pure
-    /// element-wise writes), then accumulated serially in sample order.
+    /// element-wise writes; -1 marks a near-tie), then settled and
+    /// accumulated serially in sample order.
     /// O(samples) — independent of the site count, unlike the per-chunk
     /// partial-sum layout it replaced (O(chunks x sites), which blew up
     /// exactly when both were large).
@@ -56,9 +75,19 @@ class GridCvt {
   std::vector<Vec2> centroids(const std::vector<Vec2>& sites) const;
 
   /// As centroids(), writing into `out` (cleared first) and reusing
-  /// `scratch` across calls.
+  /// `scratch` across calls. Consecutive calls whose sites moved less than
+  /// list_slack() since the candidate lists were built skip the list build;
+  /// the result is bit-identical either way.
   void centroids_into(const std::vector<Vec2>& sites, Scratch& scratch,
                       std::vector<Vec2>& out) const;
+
+  /// The slack W of the candidate lists for `nsites` sites: half the
+  /// smaller of the block side and the site spacing sqrt(area / nsites).
+  double list_slack(std::size_t nsites) const;
+
+  /// The sample blocks flagged interior: each square lies inside the FoI
+  /// with a margin, so a centroid in one needs no containment test.
+  std::vector<BBox> interior_blocks() const;
 
   /// Nearest sample point to p (the paper's "nearest grid point").
   Vec2 nearest_sample(Vec2 p) const;
@@ -68,6 +97,8 @@ class GridCvt {
   double spacing() const { return spacing_; }
 
  private:
+  // Process-unique and never 0: tells a Scratch whose lists it holds.
+  std::uint64_t id_ = 0;
   FieldOfInterest foi_;
   std::vector<Vec2> samples_;
   std::vector<double> weight_;
@@ -80,8 +111,19 @@ class GridCvt {
   double block_ = 0.0;
   Vec2 block_lo_;
   int block_nx_ = 0;
+  int block_ny_ = 0;
   std::vector<int> block_start_;
   std::vector<int> block_samples_;
+  // 1 for a block whose square, grown by a small pad, meets no FoI edge and
+  // holds a sample: the whole square is then inside the FoI.
+  std::vector<std::uint8_t> block_interior_;
+
+  // Rebuilds scratch's candidate lists at `sites`.
+  void build_candidate_lists(const std::vector<Vec2>& sites,
+                             Scratch& scratch) const;
+  Vec2 block_centre(std::size_t b) const;
+  // Index of the block holding p, or -1 outside the block grid.
+  long block_index(Vec2 p) const;
 };
 
 }  // namespace anr

@@ -170,8 +170,10 @@ void adjust_toward_cvt(const AdjustStage& stage, const FieldOfInterest& m2,
   for (const Polygon& h : m2.holes()) {
     m2_obstacles.push_back(h.translated(m2_offset));
   }
-  // The CVT scratch keeps the site index and accumulators alive across
-  // Lloyd steps.
+  // Steps whose box misses every hole box append without routing.
+  const std::vector<BBox> m2_boxes = obstacle_boxes(m2_obstacles);
+  // The CVT scratch keeps the candidate lists, site index and accumulators
+  // alive across Lloyd steps.
   GridCvt::Scratch cvt_scratch;
   std::vector<Vec2> local(n), cents, cand(n), trial(n);
   SubStageClock cvt_clock{stage.cvt_seconds};
@@ -211,12 +213,8 @@ void adjust_toward_cvt(const AdjustStage& stage, const FieldOfInterest& m2,
     if (!settled) {
       const double dt = std::max(max_move / speed_ref, 1e-6);
       for (std::size_t r = 0; r < n; ++r) {
-        Trajectory seg =
-            make_timed_path(cur[r], trial[r], t, t + dt, m2_obstacles);
-        // Append the step's waypoints, skipping the duplicated start point.
-        for (std::size_t w = 1; w < seg.num_waypoints(); ++w) {
-          plan.trajectories[r].append(seg.waypoints()[w], seg.times()[w]);
-        }
+        append_timed_step(plan.trajectories[r], cur[r], trial[r], t, t + dt,
+                          m2_obstacles, m2_boxes);
       }
       t += dt;
     }

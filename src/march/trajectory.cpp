@@ -156,6 +156,18 @@ bool strictly_inside(const Polygon& poly, Vec2 p) {
   return poly.contains(p) && poly.boundary_distance(p) > 1e-7;
 }
 
+// Growth of obstacle_boxes. route_one detours only around points of the
+// segment that are strictly inside the obstacle; a point this far outside
+// its bounding box is not even within Polygon::contains' 1e-9 boundary
+// tolerance, with room to spare for the rounding of lerp.
+constexpr double kDetourBoxPad = 1e-7;
+
+// Time at arc length `acc` of `total` along a constant-speed path that
+// starts at t0 and ends at t1.
+double leg_time(double t0, double t1, double acc, double total) {
+  return t0 + (t1 - t0) * acc / total;
+}
+
 // Routes segment a->b around a single obstacle; returns full waypoint list
 // including a and b.
 std::vector<Vec2> route_one(Vec2 a, Vec2 b, const Polygon& obstacle) {
@@ -225,6 +237,38 @@ std::vector<Vec2> route_around(Vec2 a, Vec2 b,
   return std::vector<Vec2>(path.begin() + 1, path.end() - 1);
 }
 
+std::vector<BBox> obstacle_boxes(const std::vector<Polygon>& obstacles) {
+  std::vector<BBox> out;
+  out.reserve(obstacles.size());
+  for (const Polygon& ob : obstacles) {
+    BBox box = ob.bbox();
+    box.lo = box.lo - Vec2{kDetourBoxPad, kDetourBoxPad};
+    box.hi = box.hi + Vec2{kDetourBoxPad, kDetourBoxPad};
+    out.push_back(box);
+  }
+  return out;
+}
+
+void append_timed_step(Trajectory& path, Vec2 p, Vec2 q, double t0, double t1,
+                       const std::vector<Polygon>& obstacles,
+                       const std::vector<BBox>& boxes) {
+  const Vec2 lo{std::min(p.x, q.x), std::min(p.y, q.y)};
+  const Vec2 hi{std::max(p.x, q.x), std::max(p.y, q.y)};
+  const bool clear = std::all_of(boxes.begin(), boxes.end(), [&](const BBox& b) {
+    return hi.x < b.lo.x || lo.x > b.hi.x || hi.y < b.lo.y || lo.y > b.hi.y;
+  });
+  if (!clear) {
+    const Trajectory seg = make_timed_path(p, q, t0, t1, obstacles);
+    for (std::size_t w = 1; w < seg.num_waypoints(); ++w) {
+      path.append(seg.waypoints()[w], seg.times()[w]);
+    }
+    return;
+  }
+  // make_timed_path's timing of the two-point path {p, q}.
+  const double total = distance(p, q);
+  path.append(q, total <= 0.0 ? t1 : leg_time(t0, t1, total, total));
+}
+
 Trajectory make_timed_path(Vec2 p, Vec2 q, double t0, double t1,
                            const std::vector<Polygon>& obstacles) {
   return make_timed_path_via({p, q}, t0, t1, obstacles);
@@ -258,7 +302,7 @@ Trajectory make_timed_path_via(const std::vector<Vec2>& via, double t0,
   out.append(pts[0], t0);
   for (std::size_t i = 1; i < pts.size(); ++i) {
     acc += distance(pts[i - 1], pts[i]);
-    out.append(pts[i], t0 + (t1 - t0) * acc / total);
+    out.append(pts[i], leg_time(t0, t1, acc, total));
   }
   return out;
 }

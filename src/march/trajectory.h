@@ -62,6 +62,19 @@ std::vector<Vec2> route_around(Vec2 a, Vec2 b,
 Trajectory make_timed_path(Vec2 p, Vec2 q, double t0, double t1,
                            const std::vector<Polygon>& obstacles);
 
+/// Bounding boxes of `obstacles`, each grown by 1e-7. No point of a
+/// segment whose box misses an obstacle's grown box lies strictly inside
+/// that obstacle, so route_around leaves such a segment straight.
+std::vector<BBox> obstacle_boxes(const std::vector<Polygon>& obstacles);
+
+/// Appends the step p -> q over [t0, t1] to `path`, which ends at p: the
+/// waypoints and times of make_timed_path(p, q, t0, t1, obstacles) after
+/// its first. A step whose box misses every box of `boxes`
+/// (obstacle_boxes(obstacles)) is appended straight, without routing.
+void append_timed_step(Trajectory& path, Vec2 p, Vec2 q, double t0, double t1,
+                       const std::vector<Polygon>& obstacles,
+                       const std::vector<BBox>& boxes);
+
 /// Builds a constant-speed trajectory through `via` (first point at t0,
 /// last at t1), detouring each leg around `obstacles`. With a two-point
 /// polyline this is exactly make_timed_path. Used for terrain geodesics,

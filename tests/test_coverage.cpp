@@ -108,6 +108,23 @@ FieldOfInterest pond_blob() {
 
 DensityFn pond_density() { return hotspot_density({-150.0, 90.0}, 4.0, 60.0); }
 
+// Bitwise equality of two centroid lists.
+testing::AssertionResult same_bits(const std::vector<Vec2>& got,
+                                   const std::vector<Vec2>& want) {
+  if (got.size() != want.size()) {
+    return testing::AssertionFailure()
+           << got.size() << " centroids, want " << want.size();
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i].x != want[i].x || got[i].y != want[i].y) {
+      return testing::AssertionFailure()
+             << "site " << i << ": (" << got[i].x << ", " << got[i].y
+             << "), want (" << want[i].x << ", " << want[i].y << ")";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
 // Bitwise equality at one and four arena threads.
 void expect_matches_reference(const GridCvt& grid, const DensityFn& density,
                               const std::vector<Vec2>& sites) {
@@ -116,11 +133,7 @@ void expect_matches_reference(const GridCvt& grid, const DensityFn& density,
     set_arena_threads(threads);
     const std::vector<Vec2> got = grid.centroids(sites);
     set_arena_threads(0);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i].x, want[i].x) << "site " << i << " threads " << threads;
-      ASSERT_EQ(got[i].y, want[i].y) << "site " << i << " threads " << threads;
-    }
+    ASSERT_TRUE(same_bits(got, want)) << "threads " << threads;
   }
 }
 
@@ -215,6 +228,125 @@ TEST(GridCvtBlocks, ExactTiesFollowTheRingScanOrder) {
   }
   EXPECT_GT(ties, 100);
   expect_matches_reference(grid, density, sites);
+}
+
+TEST(GridCvtBlocks, ReusedScratchMatchesReferenceAcrossLloydSteps) {
+  const FieldOfInterest foi = pond_blob();
+  const DensityFn density = pond_density();
+  const GridCvt grid(foi, density, 24000);
+  // One scratch per arena width, each reused for every call below: Lloyd
+  // at 144 sites, then at 4096 on the same scratch (a site-count change).
+  GridCvt::Scratch scratch1, scratch4;
+  std::vector<Vec2> got;
+  // Checks one call at 1 and at 4 arena threads; returns the reference.
+  auto step = [&](const std::vector<Vec2>& sites) {
+    const std::vector<Vec2> want = per_sample_centroids(grid, density, sites);
+    set_arena_threads(1);
+    grid.centroids_into(sites, scratch1, got);
+    EXPECT_TRUE(same_bits(got, want)) << "1 arena thread";
+    set_arena_threads(4);
+    grid.centroids_into(sites, scratch4, got);
+    EXPECT_TRUE(same_bits(got, want)) << "4 arena threads";
+    set_arena_threads(0);
+    return want;
+  };
+  std::vector<Vec2> sites;
+  for (int n : {144, 4096}) {
+    Rng rng(static_cast<std::uint64_t>(n) + 3);
+    sites.clear();
+    for (int i = 0; i < n - 4; ++i) sites.push_back(foi.sample_point(rng));
+    // Sites outside the FoI: in the pond, and far out where they capture
+    // no sample and keep their position.
+    sites.push_back({20.0, -15.0});
+    sites.push_back({-900.0, 40.0});
+    sites.push_back({900.0, -600.0});
+    sites.push_back({5000.0, 5000.0});
+    const double slack = grid.list_slack(sites.size());
+    for (int k = 0; k < 50; ++k) {
+      SCOPED_TRACE(testing::Message() << n << " sites, Lloyd step " << k);
+      std::vector<Vec2> next = step(sites);
+      if (k == 20) {
+        // A jump larger than the slack forces a list rebuild.
+        for (std::size_t i = 0; i < next.size(); i += 7) {
+          next[i] += Vec2{1.5 * slack, -0.5 * slack};
+        }
+      }
+      sites = std::move(next);
+    }
+    // Moves just inside the slack, in random directions, all measured
+    // from one list build: the lists must keep every site that comes up
+    // to the slack closer to a block while its nearest site moves away.
+    // The shifted call first moves every site by twice the slack, so the
+    // unshifted one rebuilds the lists exactly at `base`.
+    const std::vector<Vec2> base = sites;
+    for (Vec2& p : sites) p += Vec2{2.0 * slack, 0.0};
+    step(sites);
+    step(base);
+    for (int probe = 0; probe < 8; ++probe) {
+      SCOPED_TRACE(testing::Message() << n << " sites, probe " << probe);
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        const double a = rng.uniform(0.0, 6.283185307179586);
+        sites[i] = base[i] + Vec2{std::cos(a), std::sin(a)} * (0.99 * slack);
+      }
+      step(sites);
+    }
+  }
+  // The same scratch on another sampling, at the same site count.
+  const GridCvt other(foi, density, 12000);
+  set_arena_threads(1);
+  other.centroids_into(sites, scratch1, got);
+  set_arena_threads(0);
+  EXPECT_TRUE(same_bits(got, per_sample_centroids(other, density, sites)));
+}
+
+// True when some point of segment a-b lies in the closed box
+// (Liang-Barsky clipping).
+bool segment_meets_box(Vec2 a, Vec2 b, const BBox& box) {
+  const Vec2 d = b - a;
+  double t0 = 0.0, t1 = 1.0;
+  auto clip = [&](double p, double q) {  // keeps the t with p t <= q
+    if (p == 0.0) return q >= 0.0;
+    const double r = q / p;
+    if (p < 0.0) {
+      t0 = std::max(t0, r);
+    } else {
+      t1 = std::min(t1, r);
+    }
+    return t0 <= t1;
+  };
+  return clip(-d.x, a.x - box.lo.x) && clip(d.x, box.hi.x - a.x) &&
+         clip(-d.y, a.y - box.lo.y) && clip(d.y, box.hi.y - a.y);
+}
+
+TEST(GridCvtBlocks, InteriorBlocksLieInsideTheFoi) {
+  const std::vector<FieldOfInterest> fois{
+      pond_blob(), testutil::square_with_hole(100.0, 25.0),
+      FieldOfInterest(make_flower({0.0, 0.0}, 200.0, 5, 0.35))};
+  Rng rng(17);
+  for (std::size_t f = 0; f < fois.size(); ++f) {
+    SCOPED_TRACE(testing::Message() << "FoI " << f);
+    const FieldOfInterest& foi = fois[f];
+    const GridCvt grid(foi, uniform_density(), 24000);
+    const std::vector<BBox> blocks = grid.interior_blocks();
+    // Flagged blocks cover most of the FoI: the shortcut is taken.
+    double flagged_area = 0.0;
+    for (const BBox& b : blocks) flagged_area += b.width() * b.height();
+    EXPECT_GT(flagged_area, 0.5 * foi.area());
+    std::vector<Segment> edges = foi.outer().edges();
+    for (const Polygon& h : foi.holes()) {
+      for (const Segment& e : h.edges()) edges.push_back(e);
+    }
+    for (const BBox& b : blocks) {
+      for (const Segment& e : edges) {
+        ASSERT_FALSE(segment_meets_box(e.a, e.b, b))
+            << "block at (" << b.lo.x << ", " << b.lo.y << ")";
+      }
+      for (int k = 0; k < 16; ++k) {
+        const Vec2 p{rng.uniform(b.lo.x, b.hi.x), rng.uniform(b.lo.y, b.hi.y)};
+        ASSERT_TRUE(foi.contains(p)) << "(" << p.x << ", " << p.y << ")";
+      }
+    }
+  }
 }
 
 TEST(Lloyd, ConvergesAndStaysInside) {

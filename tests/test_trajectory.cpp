@@ -1,6 +1,10 @@
 // Trajectories: timing, lengths, obstacle detours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/check.h"
 #include "foi/shapes.h"
 #include "march/trajectory.h"
@@ -180,6 +184,114 @@ TEST_P(RouteFuzz, NeverEntersObstacles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteFuzz, ::testing::Values(1, 2, 3, 4));
+
+// --- append_timed_step: the no-hole fast path -------------------------------
+
+// A step appended by append_timed_step must carry exactly the waypoints and
+// times of make_timed_path, whether it took the fast path or routed.
+void expect_step_matches(const std::vector<Polygon>& holes,
+                         const std::vector<BBox>& boxes, Vec2 p, Vec2 q,
+                         double t0, double t1) {
+  Trajectory fast;
+  fast.append(p, t0);
+  append_timed_step(fast, p, q, t0, t1, holes, boxes);
+  const Trajectory ref = make_timed_path(p, q, t0, t1, holes);
+  ASSERT_EQ(fast.num_waypoints(), ref.num_waypoints());
+  for (std::size_t w = 0; w < ref.num_waypoints(); ++w) {
+    ASSERT_EQ(fast.waypoints()[w].x, ref.waypoints()[w].x) << "waypoint " << w;
+    ASSERT_EQ(fast.waypoints()[w].y, ref.waypoints()[w].y) << "waypoint " << w;
+    ASSERT_EQ(fast.times()[w], ref.times()[w]) << "waypoint " << w;
+  }
+}
+
+bool strictly_in_any(const std::vector<Polygon>& holes, Vec2 p) {
+  for (const Polygon& h : holes) {
+    if (h.contains(p) && h.boundary_distance(p) > 1e-9) return true;
+  }
+  return false;
+}
+
+TEST(TimedStep, NoHoleFastPathMatchesMakeTimedPath) {
+  const Polygon flower = make_flower({0.0, 0.0}, 40.0, 5, 0.35);
+  const Polygon pond =
+      make_blob({150.0, 20.0}, 35.0, {{2, 0.12, 0.4}, {5, 0.3, 1.3}}, 90);
+  const Polygon rect = make_rect({60.0, -90.0}, {110.0, -50.0});
+  const std::vector<std::vector<Polygon>> layouts{
+      {flower}, {pond}, {rect}, {flower, pond, rect}};
+  Rng rng(41);
+  int fast_steps = 0, grazing_fast = 0, routed = 0;
+  for (const std::vector<Polygon>& holes : layouts) {
+    const std::vector<BBox> boxes = obstacle_boxes(holes);
+    BBox area;
+    for (const BBox& b : boxes) area.expand(b);
+    auto misses_all = [&](Vec2 p, Vec2 q) {
+      for (const BBox& b : boxes) {
+        if (std::max(p.x, q.x) >= b.lo.x && std::min(p.x, q.x) <= b.hi.x &&
+            std::max(p.y, q.y) >= b.lo.y && std::min(p.y, q.y) <= b.hi.y) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (int trial = 0; trial < 3000; ++trial) {
+      const double t0 = rng.uniform(0.0, 200.0);
+      const double t1 = t0 + rng.uniform(1e-6, 20.0);
+      const double a = rng.uniform(0.0, 6.283185307179586);
+      const Vec2 dir{std::cos(a), std::sin(a)};
+      Vec2 p{rng.uniform(area.lo.x - 30.0, area.hi.x + 30.0),
+             rng.uniform(area.lo.y - 30.0, area.hi.y + 30.0)};
+      Vec2 q;
+      bool grazing = false;
+      switch (trial % 5) {
+        case 0:  // short step
+          q = p + dir * rng.uniform(0.0, 3.0);
+          break;
+        case 1:  // long step, often across a hole
+          q = p + dir * rng.uniform(10.0, 150.0);
+          break;
+        case 2: {  // parallel to a box side, just outside or inside its pad
+          const BBox& b = boxes[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(boxes.size()) - 1))];
+          const double off = std::vector<double>{-1e-9, 0.0, 1e-12, 1e-9,
+                                                 3e-8}[trial / 5 % 5];
+          const double y0 = rng.uniform(b.lo.y - 5.0, b.hi.y + 5.0);
+          p = {b.lo.x - off, y0};
+          q = {b.lo.x - off - rng.uniform(0.0, 1e-6),
+               y0 + rng.uniform(-20.0, 20.0)};
+          grazing = true;
+          break;
+        }
+        case 3: {  // ends on a hole boundary
+          const Polygon& h = holes[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(holes.size()) - 1))];
+          const std::size_t i = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(h.size()) - 1));
+          q = lerp(h[i], h[(i + 1) % h.size()], rng.uniform(0.0, 1.0));
+          p = q + dir * rng.uniform(0.0, 30.0);
+          break;
+        }
+        default:  // zero-length step
+          q = p;
+          break;
+      }
+      if (strictly_in_any(holes, p) || strictly_in_any(holes, q)) continue;
+      SCOPED_TRACE(testing::Message() << "trial " << trial);
+      expect_step_matches(holes, boxes, p, q, t0, t1);
+      if (HasFatalFailure()) return;
+      if (misses_all(p, q)) {
+        ++fast_steps;
+        if (grazing) ++grazing_fast;
+      } else if (make_timed_path(p, q, t0, t1, holes).num_waypoints() > 2) {
+        ++routed;
+      }
+    }
+  }
+  // Every kind of step was exercised: fast, fast within a hair of a box
+  // pad, and detoured.
+  EXPECT_GT(fast_steps, 3000);
+  EXPECT_GT(grazing_fast, 200);
+  EXPECT_GT(routed, 200);
+}
 
 }  // namespace
 }  // namespace anr
