@@ -1,5 +1,6 @@
 #include "io/frame_io.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace anr {
@@ -88,10 +89,17 @@ FrameReadStatus read_frame(std::istream& in, Frame* frame,
     return FrameReadStatus::kError;
   }
   frame->type = static_cast<FrameType>(type);
-  frame->payload.resize(len);
-  if (len > 0) {
-    in.read(frame->payload.data(), static_cast<std::streamsize>(len));
-    if (static_cast<std::uint32_t>(in.gcount()) != len) {
+  // Grow the payload as its bytes arrive, a bounded chunk at a time: a
+  // length word that promises more than the stream holds then costs at
+  // most one chunk beyond the bytes received, not a buffer of its size.
+  constexpr std::size_t kReadChunk = 64u << 10;
+  frame->payload.clear();
+  while (frame->payload.size() < len) {
+    const std::size_t have = frame->payload.size();
+    const std::size_t want = std::min<std::size_t>(len - have, kReadChunk);
+    frame->payload.resize(have + want);
+    in.read(frame->payload.data() + have, static_cast<std::streamsize>(want));
+    if (static_cast<std::size_t>(in.gcount()) != want) {
       set_error(error, "truncated frame payload");
       return FrameReadStatus::kError;
     }

@@ -24,7 +24,8 @@
 // read_frame() is defensive the same way decode_plan() is: a hostile or
 // truncated stream produces a typed kError status, never a crash or an
 // unbounded allocation (the length word is validated against
-// kMaxFramePayload before any buffer is sized).
+// kMaxFramePayload, and the payload buffer grows only as its bytes
+// arrive).
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <fcntl.h>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -216,6 +218,188 @@ TEST(StreamFrontendTest, NonRequestFrameIsTerminalProtocolError) {
   ASSERT_EQ(read_frame(out, &f, &err), FrameReadStatus::kFrame) << err;
   EXPECT_EQ(f.type, FrameType::kError);
   EXPECT_NE(f.payload.find("response"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Stream decoder fuzz: a three-frame client stream, every truncation and
+// every single-byte change, through read_frame and through the frontend.
+
+// The frames of one byte stream: whole frames, then a clean EOF or one
+// typed error.
+struct Decoded {
+  std::vector<Frame> frames;
+  bool error = false;
+};
+
+Decoded decode_all(const std::string& bytes) {
+  std::stringstream in(bytes);
+  Decoded d;
+  for (;;) {
+    Frame f;
+    std::string err;
+    const FrameReadStatus st = read_frame(in, &f, &err);
+    if (st == FrameReadStatus::kEof) return d;
+    if (st == FrameReadStatus::kError) {
+      EXPECT_FALSE(err.empty());
+      d.error = true;
+      return d;
+    }
+    d.frames.push_back(std::move(f));
+  }
+}
+
+// Two valid requests around one without geometry. The valid ones carry
+// their positions and "robots":0, so a change that breaks the positions
+// key fails fast instead of generating a deployment.
+const std::vector<std::string>& fuzz_payloads() {
+  static const std::vector<std::string> payloads{
+      R"({"id":"a","scenario":1,"robots":0,"positions":{"x":[0],"y":[0]}})",
+      R"({"id":"b"})",
+      R"({"id":"c","scenario":2,"robots":0,"positions":{"x":[5],"y":[5]}})"};
+  return payloads;
+}
+
+std::string fuzz_stream() {
+  std::string s;
+  for (const std::string& p : fuzz_payloads()) {
+    append_frame(&s, FrameType::kRequest, p);
+  }
+  return s;
+}
+
+// Every truncation, then every single-byte change (all 255 XOR masks at
+// every offset), of the fuzz stream.
+void for_each_damaged_stream(
+    const std::function<void(const std::string&)>& visit) {
+  const std::string whole = fuzz_stream();
+  for (std::size_t len = 0; len < whole.size(); ++len) {
+    visit(whole.substr(0, len));
+  }
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::string bad = whole;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      visit(bad);
+    }
+  }
+}
+
+TEST(FrameIo, ThreeFrameStreamSurvivesTruncationAndByteChanges) {
+  const std::string whole = fuzz_stream();
+  const std::vector<std::string>& payloads = fuzz_payloads();
+  const Decoded clean = decode_all(whole);
+  ASSERT_FALSE(clean.error);
+  ASSERT_EQ(clean.frames.size(), payloads.size());
+
+  // Truncations: the frames that fit whole, then an error unless the cut
+  // falls on a frame boundary.
+  std::size_t boundary = 0, whole_frames = 0;
+  for (std::size_t len = 0; len < whole.size(); ++len) {
+    if (whole_frames < payloads.size() &&
+        len == boundary + 5 + payloads[whole_frames].size()) {
+      boundary = len;
+      ++whole_frames;
+    }
+    const Decoded d = decode_all(whole.substr(0, len));
+    SCOPED_TRACE(testing::Message() << "prefix of " << len << " bytes");
+    EXPECT_EQ(d.error, len != boundary);
+    ASSERT_EQ(d.frames.size(), whole_frames);
+    for (std::size_t k = 0; k < d.frames.size(); ++k) {
+      EXPECT_EQ(d.frames[k].payload, payloads[k]);
+    }
+  }
+
+  // Byte changes: every decoded frame has a known type and fits in the
+  // input; a change inside a payload leaves the framing intact.
+  int errors = 0, reframed = 0;
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::string bad = whole;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      const Decoded d = decode_all(bad);
+      SCOPED_TRACE(testing::Message() << "byte " << i << " ^ " << mask);
+      std::size_t consumed = 0;
+      for (const Frame& f : d.frames) {
+        const int type = static_cast<int>(f.type);
+        EXPECT_TRUE(type >= 1 && type <= 4) << type;
+        consumed += 5 + f.payload.size();
+      }
+      EXPECT_LE(consumed, bad.size());
+      std::size_t start = 0, frame = 0;
+      while (frame < payloads.size() &&
+             i >= start + 5 + payloads[frame].size()) {
+        start += 5 + payloads[frame].size();
+        ++frame;
+      }
+      if (i >= start + 5) {
+        ASSERT_FALSE(d.error);
+        ASSERT_EQ(d.frames.size(), payloads.size());
+        std::string want = payloads[frame];
+        want[i - start - 5] = bad[i];
+        EXPECT_EQ(d.frames[frame].payload, want);
+      } else if (d.error) {
+        ++errors;
+      } else {
+        ++reframed;
+      }
+    }
+  }
+  EXPECT_GT(errors, 0);
+  EXPECT_GT(reframed, 0);
+}
+
+TEST(StreamFrontendTest, SurvivesTruncatedAndChangedStreams) {
+  // A backend that answers at once, so each damaged stream costs only its
+  // parsing.
+  runtime::GatewayBackend backend;
+  backend.submit = [](runtime::PlanJob job) {
+    runtime::JobResult r;
+    r.id = job.id;
+    r.status = runtime::JobStatus::kRejectedOverload;
+    r.error = "stub backend";
+    std::promise<runtime::JobResult> done;
+    done.set_value(std::move(r));
+    return done.get_future();
+  };
+  backend.queue_depth = [] { return std::size_t{0}; };
+  runtime::AdmissionController controller{runtime::AdmissionOptions{}};
+  runtime::ServingGateway gateway(backend, &controller);
+  runtime::StreamFrontend frontend(&gateway);
+
+  std::uint64_t sessions = 0, answered = 0, terminated = 0;
+  for_each_damaged_stream([&](const std::string& bytes) {
+    std::stringstream in(bytes), out;
+    const runtime::StreamStats stats = frontend.serve(in, out);
+    ++sessions;
+    // The frontend reads the request frames up to the first damaged or
+    // non-request one and answers each; damage ends the session with one
+    // kError frame.
+    const Decoded input = decode_all(bytes);
+    std::size_t requests = 0;
+    while (requests < input.frames.size() &&
+           input.frames[requests].type == FrameType::kRequest) {
+      ++requests;
+    }
+    const bool damaged = input.error || requests < input.frames.size();
+    const Decoded output = decode_all(out.str());
+    ASSERT_FALSE(output.error) << "response stream cut mid-frame";
+    ASSERT_EQ(output.frames.size(), requests + (damaged ? 1 : 0));
+    for (std::size_t k = 0; k < requests; ++k) {
+      ASSERT_EQ(output.frames[k].type, FrameType::kResponse);
+      const json::Value r = json::parse(output.frames[k].payload);
+      EXPECT_FALSE(r.at("ok").as_bool());
+    }
+    if (damaged) {
+      EXPECT_EQ(output.frames.back().type, FrameType::kError);
+      ++terminated;
+    }
+    EXPECT_EQ(stats.requests + stats.bad_requests, requests);
+    EXPECT_EQ(stats.responses, requests);
+    EXPECT_EQ(stats.protocol_errors, damaged ? 1u : 0u);
+    answered += stats.requests;
+  });
+  EXPECT_GT(answered, sessions);  // most changes leave valid requests
+  EXPECT_GT(terminated, 0u);
 }
 
 // ---------------------------------------------------------------------
