@@ -1,6 +1,12 @@
 // Shared helpers for the libanr test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +43,22 @@ inline FieldOfInterest square_with_hole(double s, double hole_r) {
 inline std::vector<Vec2> lattice_disk(Vec2 center, double radius, double d) {
   FieldOfInterest disk{make_circle(center, radius, 64)};
   return disk.lattice_points(d);
+}
+
+/// Expects `got` to equal the golden file at `path` byte for byte. Under
+/// ANR_REGEN_GOLDEN=1 the file is rewritten instead and the test skipped.
+inline void expect_golden(const std::string& path, const std::string& got) {
+  if (std::getenv("ANR_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out << got) << "cannot write " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << path
+                  << " (run with ANR_REGEN_GOLDEN=1)";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(got, ss.str()) << "bytes diverged from the golden " << path;
 }
 
 }  // namespace anr::testutil
