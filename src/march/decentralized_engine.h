@@ -10,9 +10,10 @@
 // link outages through net::make_fault_outage. The engine's own jobs are
 // reduced to physics and bookkeeping:
 //
-//   - plant: apply actuation faults (crash-stop, stuck, slowdown) to the
-//     progress each controller *wants*, move robots along their
-//     timelines, and feed noisy GPS back;
+//   - plant: the shared FaultPlant (march/fault_plant.h, the same one the
+//     centralized engine uses) clamps the progress each controller
+//     *wants* by its actuation faults (crash-stop, stuck, slowdown); the
+//     engine moves robots along their timelines and feeds noisy GPS back;
 //   - radio truth: rebuild the unit-disk topology every tick from the
 //     noisy positions at the degraded range, so links really break as
 //     robots drift apart;

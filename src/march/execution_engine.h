@@ -2,7 +2,11 @@
 //
 // Planning (MarchPlanner) proves a march exists that keeps the swarm one
 // connected network; this engine *executes* a plan while a FaultSchedule
-// breaks things, and exercises the paper's recoverability claim online:
+// breaks things, and exercises the paper's recoverability claim online.
+// How a fault acts on a robot (crash-stop, stuck/slowed actuation, noise,
+// the fault log, the closing survivor accounting) is the shared
+// FaultPlant (march/fault_plant.h); this engine adds the centralized
+// policy:
 //
 //   - trajectories are stepped on a fixed tick; per-robot progress can lag
 //     the shared schedule clock (stuck/slowed actuation) and is closed at

@@ -12,15 +12,14 @@ namespace anr::net {
 
 namespace {
 
-/// Per-round view of the schedule: the dropped-link set and the range
-/// factor, rebuilt once when the round advances. Shared by value-copied
-/// std::function instances through a shared_ptr.
+/// Per-round view of the schedule: the dropped-link set, rebuilt once
+/// when the round advances. Shared by value-copied std::function
+/// instances through a shared_ptr.
 struct OutageCache {
   const fault::FaultModel* model = nullptr;
   double round_dt = 0.0;
   std::size_t round = std::numeric_limits<std::size_t>::max();
   std::unordered_set<std::uint64_t> dropped;
-  double range_factor = 1.0;
 
   void refresh(std::size_t r) {
     if (r == round) return;
@@ -32,7 +31,6 @@ struct OutageCache {
                       << 32) |
                      static_cast<std::uint32_t>(b));
     }
-    range_factor = model->range_factor(t);
   }
 
   bool link_down(NodeId a, NodeId b) const {
@@ -49,30 +47,13 @@ struct OutageCache {
 
 LinkOutageFn make_fault_outage(const fault::FaultModel& model,
                                double round_dt) {
-  return make_fault_outage(model, round_dt, nullptr, 0.0);
-}
-
-LinkOutageFn make_fault_outage(const fault::FaultModel& model,
-                               double round_dt,
-                               const std::vector<Vec2>* positions,
-                               double r_c) {
   ANR_CHECK(round_dt > 0.0);
-  ANR_CHECK(positions == nullptr || r_c > 0.0);
   auto cache = std::make_shared<OutageCache>();
   cache->model = &model;
   cache->round_dt = round_dt;
-  return [cache, positions, r_c](NodeId from, NodeId to,
-                                 std::size_t round) -> bool {
+  return [cache](NodeId from, NodeId to, std::size_t round) -> bool {
     cache->refresh(round);
-    if (cache->link_down(from, to)) return true;
-    if (positions != nullptr && cache->range_factor < 1.0) {
-      const Vec2& a = (*positions)[static_cast<std::size_t>(from)];
-      const Vec2& b = (*positions)[static_cast<std::size_t>(to)];
-      if (distance(a, b) > cache->range_factor * r_c * (1.0 + 1e-12)) {
-        return true;
-      }
-    }
-    return false;
+    return cache->link_down(from, to);
   };
 }
 

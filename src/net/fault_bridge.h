@@ -4,10 +4,11 @@
 // but until this adapter existed the windows only informed the
 // centralized connectivity oracle — the Network kept delivering. The
 // bridge closes that gap: it binds a FaultModel to Network's link-outage
-// hook so that a scheduled dropout (or a shrunk radio range) suppresses
-// the actual messages in flight. The same seeded campaigns that drive
-// the centralized ExecutionEngine thereby drop real traffic in the
-// decentralized mode.
+// hook so that a scheduled dropout suppresses the actual messages in
+// flight. The same seeded campaigns that drive the centralized
+// ExecutionEngine thereby drop real traffic in the decentralized mode.
+// (A shrunk radio range needs no bridge: the decentralized engine
+// rebuilds the unit-disk topology at the degraded range every tick.)
 //
 // Rounds map to wall time via `round_dt` (the engine ticks the network
 // once per simulation tick). The adapter caches the schedule's dropped
@@ -15,8 +16,6 @@
 // per-link dropout events costs one schedule scan per round, not one
 // per delivery.
 #pragma once
-
-#include <vector>
 
 #include "fault/fault_model.h"
 #include "net/network.h"
@@ -28,14 +27,5 @@ namespace anr::net {
 /// over it at t = r * round_dt. The FaultModel must outlive the network.
 LinkOutageFn make_fault_outage(const fault::FaultModel& model,
                                double round_dt);
-
-/// As above, plus range degradation: the link is also down when the
-/// nodes' current positions are farther apart than range_factor(t) *
-/// r_c. `positions` is read live at delivery time (the caller keeps it
-/// current as robots move) and must outlive the network.
-LinkOutageFn make_fault_outage(const fault::FaultModel& model,
-                               double round_dt,
-                               const std::vector<Vec2>* positions,
-                               double r_c);
 
 }  // namespace anr::net
