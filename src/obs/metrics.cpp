@@ -84,6 +84,39 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
+double Histogram::bucket_bound(std::size_t i) const {
+  return i < bounds_.size() ? bounds_[i] : bounds_.back() * spec_.factor;
+}
+
+double Histogram::quantile(double q) const {
+  const std::vector<std::uint64_t> counts = bucket_counts();
+  std::vector<std::pair<double, std::uint64_t>> buckets;
+  buckets.reserve(counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] > 0) buckets.emplace_back(bucket_bound(i), counts[i]);
+  }
+  return bucket_quantile(std::move(buckets), q);
+}
+
+double bucket_quantile(std::vector<std::pair<double, std::uint64_t>> buckets,
+                       double q) {
+  std::uint64_t total = 0;
+  for (const auto& b : buckets) total += b.second;
+  if (total == 0) return 0.0;
+  std::sort(buckets.begin(), buckets.end());
+  // ceil(q * n), shaved by a relative 1e-12 so that a product that is an
+  // integer in exact arithmetic is not rounded up past it.
+  const double exact = q * static_cast<double>(total) * (1.0 - 1e-12);
+  const std::uint64_t rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(std::max(exact, 0.0))), 1, total);
+  std::uint64_t seen = 0;
+  for (const auto& [bound, count] : buckets) {
+    seen += count;
+    if (seen >= rank) return bound;
+  }
+  return buckets.back().first;
+}
+
 Registry::Registry(bool enabled) : enabled_(enabled) {}
 
 namespace {

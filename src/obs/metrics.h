@@ -90,6 +90,11 @@ class Histogram {
   const std::vector<double>& upper_bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; last entry is the +Inf bucket.
   std::vector<std::uint64_t> bucket_counts() const;
+  /// Inclusive upper bound of bucket i. The +Inf bucket (i == buckets)
+  /// reports one factor past the last finite bound: conservative, finite.
+  double bucket_bound(std::size_t i) const;
+  /// bucket_quantile() over this histogram's buckets.
+  double quantile(double q) const;
 
  private:
   int bucket_of(double v) const;
@@ -101,6 +106,14 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{0};  // double payload, CAS-added
 };
+
+/// The q-quantile of a bucketed distribution: the upper bound of the
+/// bucket that holds rank ceil(q * n), where n is the total count and
+/// `buckets` are (inclusive upper bound, count) pairs in any order. Never
+/// below the exact q-quantile, and less than one bucket factor above it.
+/// 0 when the buckets are empty.
+double bucket_quantile(std::vector<std::pair<double, std::uint64_t>> buckets,
+                       double q);
 
 /// Metric labels, e.g. {{"stage", "extraction"}}. Order-insensitive for
 /// identity (canonicalized by key on registration).

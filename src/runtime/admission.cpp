@@ -79,15 +79,11 @@ void AdmissionController::refresh() {
   std::uint64_t total = 0;
   for (Watched& w : watched_) {
     std::vector<std::uint64_t> cur = w.hist->bucket_counts();
-    const std::vector<double>& bounds = w.hist->upper_bounds();
     if (w.prev_buckets.size() != cur.size()) w.prev_buckets.assign(cur.size(), 0);
     for (std::size_t i = 0; i < cur.size(); ++i) {
       const std::uint64_t d = cur[i] - w.prev_buckets[i];
       if (d == 0) continue;
-      const double bound = i < bounds.size()
-                               ? bounds[i]
-                               : bounds.back() * w.hist->spec().factor;
-      deltas.emplace_back(bound, d);
+      deltas.emplace_back(w.hist->bucket_bound(i), d);
       total += d;
     }
     w.prev_buckets = std::move(cur);
@@ -96,16 +92,7 @@ void AdmissionController::refresh() {
     p99_ *= opt_.idle_decay;
     return;
   }
-  std::sort(deltas.begin(), deltas.end());
-  const std::uint64_t rank = (total * 99 + 99) / 100;  // ceil(0.99 * total)
-  std::uint64_t seen = 0;
-  for (const auto& [bound, count] : deltas) {
-    seen += count;
-    if (seen >= rank) {
-      p99_ = bound;
-      break;
-    }
-  }
+  p99_ = obs::bucket_quantile(std::move(deltas), 0.99);
 }
 
 AdmitResult AdmissionController::admit() {

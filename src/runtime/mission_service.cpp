@@ -17,11 +17,18 @@ namespace {
 json::Value stage_to_json(const StageStats& s) {
   json::Object o;
   o.emplace("count", s.count);
-  o.emplace("min_s", s.min);
   o.emplace("mean_s", s.mean);
   o.emplace("p95_s", s.p95);
-  o.emplace("max_s", s.max);
   return json::Value(std::move(o));
+}
+
+StageStats stage_of(const obs::Histogram& h) {
+  StageStats s;
+  s.count = h.count();
+  if (s.count == 0) return s;
+  s.mean = h.sum() / static_cast<double>(s.count);
+  s.p95 = h.quantile(0.95);
+  return s;
 }
 
 obs::Labels with_label(obs::Labels base, const char* key, const char* value) {
@@ -91,74 +98,40 @@ json::Value stats_to_json(const ServiceStats& s) {
   return json::Value(std::move(o));
 }
 
-void MissionService::StageRecorder::record(double seconds,
-                                           std::size_t reservoir_cap) {
-  std::lock_guard<std::mutex> lock(m);
-  if (count == 0 || seconds < min) min = seconds;
-  if (count == 0 || seconds > max) max = seconds;
-  sum += seconds;
-  ++count;
-  if (reservoir_cap == 0) return;
-  if (samples.size() < reservoir_cap) {
-    samples.push_back(seconds);
-  } else {
-    samples[next_slot] = seconds;
-    next_slot = (next_slot + 1) % reservoir_cap;
-  }
-}
-
-StageStats MissionService::StageRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(m);
-  StageStats s;
-  s.count = count;
-  if (count == 0) return s;
-  s.min = min;
-  s.max = max;
-  s.mean = sum / static_cast<double>(count);
-  if (!samples.empty()) {
-    std::vector<double> sorted = samples;
-    std::size_t idx = (sorted.size() * 95) / 100;
-    if (idx >= sorted.size()) idx = sorted.size() - 1;
-    std::nth_element(sorted.begin(),
-                     sorted.begin() + static_cast<std::ptrdiff_t>(idx),
-                     sorted.end());
-    s.p95 = sorted[idx];
-  }
-  return s;
-}
-
 MissionService::MissionService(ServiceOptions options)
     : opt_(options),
       cache_(options.cache_capacity) {
   ANR_CHECK(opt_.queue_capacity >= 1);
-  if (opt_.registry != nullptr && opt_.registry->enabled()) {
-    obs::Registry& reg = *opt_.registry;
-    const obs::Labels& base = opt_.metric_labels;
-    ins_.queue_depth =
-        reg.gauge("anr_service_queue_depth", base, "jobs waiting in the queue");
-    ins_.submitted = reg.counter("anr_jobs_submitted_total", base,
-                                 "jobs handed to submit()");
-    ins_.retried = reg.counter("anr_job_retries_total", base,
-                               "extra planning attempts after an error");
-    for (int s = 0; s <= static_cast<int>(JobStatus::kError); ++s) {
-      ins_.by_status[s] =
-          reg.counter("anr_jobs_total",
-                      with_label(base, "status",
-                                 job_status_name(static_cast<JobStatus>(s))),
-                      "jobs resolved, by final status");
-    }
-    ins_.e2e_seconds = reg.histogram("anr_job_e2e_seconds", base,
-                                     "submit-to-resolution latency");
-    ins_.e2e_full_seconds =
-        reg.histogram("anr_job_e2e_full_seconds", base,
-                      "submit-to-resolution latency, full-service jobs only "
-                      "(the admission controller's SLO signal)");
-    ins_.queue_seconds =
-        reg.histogram("anr_job_queue_seconds", base, "queue-wait latency");
-    ins_.build_seconds = reg.histogram(
-        "anr_planner_build_seconds", base, "cache-miss planner constructions");
-    cache_.set_observer(opt_.registry, base);
+  const bool live = opt_.registry != nullptr && opt_.registry->enabled();
+  if (!live) own_registry_ = std::make_unique<obs::Registry>();
+  obs::Registry& reg = live ? *opt_.registry : *own_registry_;
+  const obs::Labels& base = opt_.metric_labels;
+  ins_.queue_depth =
+      reg.gauge("anr_service_queue_depth", base, "jobs waiting in the queue");
+  ins_.submitted = reg.counter("anr_jobs_submitted_total", base,
+                               "jobs handed to submit()");
+  ins_.retried = reg.counter("anr_job_retries_total", base,
+                             "extra planning attempts after an error");
+  for (int s = 0; s <= static_cast<int>(JobStatus::kError); ++s) {
+    ins_.by_status[s] =
+        reg.counter("anr_jobs_total",
+                    with_label(base, "status",
+                               job_status_name(static_cast<JobStatus>(s))),
+                    "jobs resolved, by final status");
   }
+  ins_.e2e_seconds = reg.histogram("anr_job_e2e_seconds", base,
+                                   "submit-to-resolution latency");
+  ins_.e2e_full_seconds =
+      reg.histogram("anr_job_e2e_full_seconds", base,
+                    "submit-to-resolution latency, full-service jobs only "
+                    "(the admission controller's SLO signal)");
+  ins_.queue_seconds =
+      reg.histogram("anr_job_queue_seconds", base, "queue-wait latency");
+  ins_.build_seconds = reg.histogram(
+      "anr_planner_build_seconds", base, "cache-miss planner constructions");
+  ins_.plan_seconds = reg.histogram("anr_job_plan_seconds", base,
+                                    "planning per job, retries included");
+  if (live) cache_.set_observer(opt_.registry, opt_.metric_labels);
   int threads = opt_.threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -316,7 +289,6 @@ void MissionService::worker_loop() {
       finish_active();
       continue;
     }
-    queue_wait_.record(waited, opt_.latency_reservoir);
     obs::observe(ins_.queue_seconds, waited);
     const ServiceLevel level = item.job.level;
     JobResult result = execute(std::move(item.job), waited);
@@ -507,14 +479,11 @@ JobResult MissionService::execute_degraded(PlanJob&& job,
         baseline_for(job, &hit);
     result.build_seconds = build_sw.seconds();
     result.cache_hit = hit;
-    if (!hit) {
-      planner_build_.record(result.build_seconds, opt_.latency_reservoir);
-      obs::observe(ins_.build_seconds, result.build_seconds);
-    }
+    if (!hit) obs::observe(ins_.build_seconds, result.build_seconds);
     Stopwatch plan_sw;
     result.plan = baseline->plan(job.positions, job.m2_offset);
     result.plan_seconds = plan_sw.seconds();
-    plan_exec_.record(result.plan_seconds, opt_.latency_reservoir);
+    obs::observe(ins_.plan_seconds, result.plan_seconds);
     result.ok = true;
     // A shed job is degraded by definition: the caller asked for (at
     // most) the baseline, so the result always reports the fallback mode.
@@ -559,10 +528,7 @@ JobResult MissionService::execute(PlanJob&& job, double queue_seconds) {
         &constructed);
     result.build_seconds = build_sw.seconds();
     result.cache_hit = !constructed;
-    if (constructed) {
-      planner_build_.record(result.build_seconds, opt_.latency_reservoir);
-      obs::observe(ins_.build_seconds, result.build_seconds);
-    }
+    if (constructed) obs::observe(ins_.build_seconds, result.build_seconds);
 
     for (int attempt = 0;; ++attempt) {
       Stopwatch plan_sw;
@@ -599,7 +565,7 @@ JobResult MissionService::execute(PlanJob&& job, double queue_seconds) {
       retried_.fetch_add(1, std::memory_order_relaxed);
       obs::inc(ins_.retried);
     }
-    plan_exec_.record(result.plan_seconds, opt_.latency_reservoir);
+    obs::observe(ins_.plan_seconds, result.plan_seconds);
   } catch (const std::exception& e) {
     // Planner construction failures land here; planning errors are typed.
     result.ok = false;
@@ -629,9 +595,9 @@ ServiceStats MissionService::stats() const {
   }
   s.workers = worker_count();
   s.cache = cache_.stats();
-  s.queue_wait = queue_wait_.snapshot();
-  s.planner_build = planner_build_.snapshot();
-  s.plan_exec = plan_exec_.snapshot();
+  s.queue_wait = stage_of(*ins_.queue_seconds);
+  s.planner_build = stage_of(*ins_.build_seconds);
+  s.plan_exec = stage_of(*ins_.plan_seconds);
   return s;
 }
 

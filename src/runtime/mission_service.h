@@ -69,8 +69,6 @@ struct ServiceOptions {
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Planner cache capacity (distinct configurations held).
   std::size_t cache_capacity = 64;
-  /// Per-stage latency samples kept for the p95 estimate.
-  std::size_t latency_reservoir = 4096;
   /// Additional planning attempts after a planner error (bounded retry).
   int max_retries = 1;
   /// Plan through MarchPlanner::plan_robust() — degraded fallback chain
@@ -81,10 +79,12 @@ struct ServiceOptions {
   double watchdog_period_seconds = 0.01;
   /// Metrics sink. When set, the service exports job counters by final
   /// status (anr_jobs_total{status=...}), a queue-depth gauge, submit-to-
-  /// resolution and queue-wait latency histograms, the planner-cache
-  /// counters, and every planner the cache builds is attached to the same
-  /// registry (per-stage spans, probe counters). Must outlive the
-  /// service. nullptr (or an obs::NullRegistry) disables exporting.
+  /// resolution, queue-wait, planner-build and plan latency histograms,
+  /// the planner-cache counters, and every planner the cache builds is
+  /// attached to the same registry (per-stage spans, probe counters).
+  /// Must outlive the service. nullptr (or an obs::NullRegistry)
+  /// disables exporting: the service then records into a registry of its
+  /// own, which only feeds stats().
   obs::Registry* registry = nullptr;
   /// Labels attached to every metric series this service (and its cache)
   /// registers. A sharded router gives each member service a distinct
@@ -154,13 +154,13 @@ struct JobResult {
   double plan_seconds = 0.0;     ///< MarchPlanner::plan() proper
 };
 
-/// Latency summary over one pipeline stage, in seconds.
+/// Latency summary over one pipeline stage, in seconds, read from the
+/// stage's histogram: exact count and mean, and the p95 as the upper bound
+/// of the bucket holding rank ceil(0.95 * count) (obs::bucket_quantile).
 struct StageStats {
   std::uint64_t count = 0;
-  double min = 0.0;
   double mean = 0.0;
   double p95 = 0.0;
-  double max = 0.0;
 };
 
 struct ServiceStats {
@@ -255,21 +255,6 @@ class MissionService {
  private:
   using QueuedJob = PendingJob;
 
-  /// Bounded latency reservoir: exact count/min/max/mean, deterministic
-  /// ring replacement for the p95 sample set.
-  struct StageRecorder {
-    void record(double seconds, std::size_t reservoir_cap);
-    StageStats snapshot() const;
-
-    mutable std::mutex m;
-    std::uint64_t count = 0;
-    double min = 0.0;
-    double max = 0.0;
-    double sum = 0.0;
-    std::vector<double> samples;
-    std::size_t next_slot = 0;
-  };
-
   void worker_loop();
   void watchdog_loop();
   /// Decrements the active-job count and signals idle waiters.
@@ -283,7 +268,8 @@ class MissionService {
   /// nullopt when the job is valid; otherwise the rejection message.
   static std::optional<std::string> validate(const PlanJob& job);
 
-  /// Metric handles (all null when ServiceOptions::registry is unset).
+  /// Metric handles, resolved from ServiceOptions::registry when it is
+  /// live and from own_registry_ otherwise.
   struct Instruments {
     obs::Gauge* queue_depth = nullptr;
     obs::Counter* submitted = nullptr;
@@ -293,10 +279,13 @@ class MissionService {
     obs::Histogram* e2e_full_seconds = nullptr;  ///< full-level jobs only
     obs::Histogram* queue_seconds = nullptr;
     obs::Histogram* build_seconds = nullptr;
+    obs::Histogram* plan_seconds = nullptr;
   };
   void count_job(JobStatus status) const;
 
   ServiceOptions opt_;
+  /// Backs the instruments when the caller passes no live registry.
+  std::unique_ptr<obs::Registry> own_registry_;
   PlannerCache cache_;
 
   mutable std::mutex queue_mutex_;
@@ -323,9 +312,6 @@ class MissionService {
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> retried_{0};
   std::atomic<std::uint64_t> handoffs_{0};
-  StageRecorder queue_wait_;
-  StageRecorder planner_build_;
-  StageRecorder plan_exec_;
   Instruments ins_;
 
   /// Shed-path planner memo (see PlanJob::level). Separate from the

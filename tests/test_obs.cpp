@@ -100,6 +100,40 @@ TEST(Histogram, BucketTotalsMatchObservationCount) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(n));
 }
 
+TEST(Histogram, QuantileIsTheBucketBoundAtRankCeilQN) {
+  obs::HistogramSpec spec;
+  spec.min = 1.0;
+  spec.factor = 2.0;
+  spec.buckets = 4;  // bounds 1, 2, 4, 8 (+Inf extra)
+  obs::Histogram h(spec);
+  EXPECT_EQ(h.quantile(0.95), 0.0);  // empty
+
+  for (int i = 0; i < 10; ++i) h.observe(2.0);  // bound 2 (upper-inclusive)
+  for (int i = 0; i < 9; ++i) h.observe(3.0);   // bound 4
+  h.observe(100.0);                             // +Inf
+  // n = 20: the estimate is the bound of the bucket holding rank
+  // ceil(q * n).
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);   // rank 10: the last 2.0
+  EXPECT_DOUBLE_EQ(h.quantile(0.55), 4.0);  // rank 11: the first 3.0
+  EXPECT_DOUBLE_EQ(h.quantile(0.95), 4.0);  // rank 19
+  // Rank 20 is the overflow observation, folded in one factor past the
+  // last finite bound.
+  EXPECT_DOUBLE_EQ(h.bucket_bound(4), 16.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.96), 16.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 16.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);  // rank clamps to 1
+}
+
+TEST(Histogram, BucketQuantileTakesPairsInAnyOrder) {
+  // ceil(0.99 * 100) = 99: the lower bucket when it holds 99 of 100.
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile({{8.0, 1}, {1.0, 99}}, 0.99), 1.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile({{8.0, 2}, {1.0, 98}}, 0.99), 8.0);
+  // 0.55 * 100 evaluates to 55.00000000000001 in doubles; the rank is
+  // still 55, not 56.
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile({{2.0, 45}, {1.0, 55}}, 0.55), 1.0);
+  EXPECT_EQ(obs::bucket_quantile({}, 0.5), 0.0);
+}
+
 // --- Registry ---------------------------------------------------------------
 
 TEST(Registry, SameNameAndLabelsResolveToSameHandle) {

@@ -3,6 +3,7 @@
 // thread-safety / determinism contract of MarchPlanner::plan() const.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -248,8 +249,10 @@ TEST(PlannerCache, EvictsLeastRecentlyUsedWhenFull) {
 
 TEST(MissionService, BatchCompletesAndCountsCacheHits) {
   const Fixture& f = fixture();
+  obs::Registry registry;
   ServiceOptions so;
   so.threads = 4;
+  so.registry = &registry;
   MissionService service(so);
   std::vector<PlanJob> jobs;
   for (int i = 0; i < 6; ++i) jobs.push_back(f.job("j" + std::to_string(i)));
@@ -271,6 +274,16 @@ TEST(MissionService, BatchCompletesAndCountsCacheHits) {
   EXPECT_EQ(stats.cache.constructions, 1u);
   EXPECT_EQ(stats.plan_exec.count, 6u);
   EXPECT_GT(stats.plan_exec.mean, 0.0);
+  // Stage stats are read from the exported histogram: same count, and a
+  // p95 within one bucket factor above the exact p95 of the jobs.
+  EXPECT_EQ(stats.plan_exec.count,
+            registry.histogram("anr_job_plan_seconds")->count());
+  std::vector<double> plan_seconds;
+  for (const JobResult& r : results) plan_seconds.push_back(r.plan_seconds);
+  std::sort(plan_seconds.begin(), plan_seconds.end());
+  const double exact = plan_seconds[5];  // rank ceil(0.95 * 6) = 6
+  EXPECT_GE(stats.plan_exec.p95, exact);
+  EXPECT_LT(stats.plan_exec.p95, 2.0 * exact);  // default bucket factor
 }
 
 TEST(MissionService, InvalidJobsAreRejectedTypedAtSubmit) {
@@ -430,6 +443,9 @@ TEST(MissionService, BlockPolicyCompletesEverythingWithinCapacity) {
   auto stats = service.stats();
   EXPECT_EQ(stats.completed, 5u);
   EXPECT_EQ(stats.rejected_queue_full, 0u);
+  // No registry attached: the stage stats come from the service's own.
+  EXPECT_EQ(stats.queue_wait.count, 5u);
+  EXPECT_EQ(stats.plan_exec.count, 5u);
   EXPECT_LE(stats.queue_high_water, so.queue_capacity);
 }
 
