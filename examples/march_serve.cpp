@@ -1,7 +1,7 @@
 // march_serve — batch/streaming front end of the mission-service runtime.
 //
 // Batch mode (default): reads newline-delimited JSON planning requests
-// (stdin or --input FILE), executes them on a MissionService worker pool
+// (stdin or --input FILE), executes them on the sharded service runtime
 // with planner caching, and writes one JSON result line per request to
 // stdout, in input order. See src/io/job_io.h for the schema.
 //
@@ -32,8 +32,8 @@
 //   --reject       shed load when the queue is full instead of blocking
 //   --cache N      planner cache capacity (default 64)
 //   --shards N     run N independent service shards behind the
-//                  consistent-hash router (src/shard/). N <= 1 keeps the
-//                  single-service path.
+//                  consistent-hash router (src/shard/). Without it (or
+//                  with N <= 1) the router fronts a single shard.
 //   --random-routing
 //                  route uniformly at random instead of by cache affinity
 //                  (the control baseline; requires --shards)
@@ -42,9 +42,10 @@
 //                  submitted, kill / drain / revive shard K. Repeatable;
 //                  drills fire in submission order. Requires --shards.
 //   --input FILE   read requests from FILE instead of stdin
-//   --stats        print a service-stats JSON snapshot to stderr at exit
-//                  (with --shards: router + per-shard breakdown; in
-//                  streaming mode also gateway accept/shed/reject counts)
+//   --stats        print a service-stats JSON snapshot to stderr at exit:
+//                  router totals + per-shard breakdown (one shard without
+//                  --shards); in streaming mode also gateway
+//                  accept/shed/reject counts
 //   --metrics FILE write the run's metrics to FILE at exit — Prometheus
 //                  text, or NDJSON when FILE ends in ".ndjson"; "-"
 //                  writes text to stderr. Also written on SIGTERM/SIGINT,
@@ -328,37 +329,22 @@ int main(int argc, char** argv) {
   // its latency histograms even when no --metrics file is requested.
   if (!opt.metrics.empty() || streaming) opt.service.registry = &registry;
 
-  // Single-service path (the default) is untouched by sharding; the
-  // sharded path routes every submission through the consistent-hash
-  // router. Both expose the same submit-one-job surface here.
-  std::unique_ptr<runtime::MissionService> single;
-  std::unique_ptr<shard::ShardedMissionService> sharded;
-  if (opt.shards > 1) {
-    shard::ShardedServiceOptions so;
-    so.shards = opt.shards;
-    so.shard = opt.service;
-    // Hardware-concurrency-per-shard multiplies by N; default to a
-    // deliberate 2 per shard unless the user chose.
-    if (!opt.threads_set) so.shard.threads = 2;
-    if (opt.random_routing) so.routing = shard::RoutingPolicy::kRandom;
-    if (opt.service.registry != nullptr) so.registry = &registry;
-    sharded = std::make_unique<shard::ShardedMissionService>(so);
-  } else {
-    single = std::make_unique<runtime::MissionService>(opt.service);
-  }
-  auto submit_one = [&](runtime::PlanJob job) {
-    return sharded ? sharded->submit(std::move(job))
-                   : single->submit(std::move(job));
-  };
+  // One front door: every submission goes through the consistent-hash
+  // router, which without --shards fronts a single shard.
+  shard::ShardedServiceOptions so;
+  so.shards = std::max(1, opt.shards);
+  so.shard = opt.service;
+  // Hardware-concurrency-per-shard multiplies by N; default to a
+  // deliberate 2 per shard unless the user chose.
+  if (!opt.threads_set && opt.shards > 1) so.shard.threads = 2;
+  if (opt.random_routing) so.routing = shard::RoutingPolicy::kRandom;
+  so.registry = opt.service.registry;
+  shard::ShardedMissionService service(so);
 
   auto print_stats = [&] {
     if (!opt.stats) return;
-    if (sharded) {
-      std::cerr << shard::sharded_stats_to_json(sharded->stats()).dump(2)
-                << "\n";
-    } else {
-      std::cerr << stats_to_json(single->stats()).dump(2) << "\n";
-    }
+    std::cerr << shard::sharded_stats_to_json(service.stats()).dump(2)
+              << "\n";
   };
 
   // flush_output is the one exit path for observability artifacts; both
@@ -396,24 +382,21 @@ int main(int argc, char** argv) {
     ao.shed_pressure = opt.shed_pressure;
     ao.reject_pressure = opt.reject_pressure;
     ao.queue_capacity = opt.service.queue_capacity *
-                        static_cast<std::size_t>(std::max(1, opt.shards));
+                        static_cast<std::size_t>(service.shard_count());
     ao.registry = &registry;
     runtime::AdmissionController controller(ao);
-    if (sharded) {
-      for (int i = 0; i < opt.shards; ++i) {
-        controller.watch(registry.histogram(
-            "anr_job_e2e_full_seconds", {{"shard", std::to_string(i)}}));
-      }
-    } else {
-      controller.watch(registry.histogram("anr_job_e2e_full_seconds", {}));
+    for (int i = 0; i < service.shard_count(); ++i) {
+      controller.watch(registry.histogram("anr_job_e2e_full_seconds",
+                                          {{"shard", std::to_string(i)}}));
     }
     runtime::GatewayBackend backend;
-    backend.submit = submit_one;
+    backend.submit = [&](runtime::PlanJob job) {
+      return service.submit(std::move(job));
+    };
     backend.queue_depth = [&]() -> std::size_t {
-      if (single) return single->queue_depth();
       std::size_t total = 0;
-      for (int i = 0; i < opt.shards; ++i) {
-        total += sharded->shard_service(i).queue_depth();
+      for (int i = 0; i < service.shard_count(); ++i) {
+        total += service.shard_service(i).queue_depth();
       }
       return total;
     };
@@ -472,11 +455,7 @@ int main(int argc, char** argv) {
       ::close(listen_fd);
       ::unlink(opt.listen.c_str());
     }
-    if (sharded) {
-      sharded->shutdown();
-    } else {
-      single->shutdown();
-    }
+    service.shutdown();
     flush_output();
     return 0;
   }
@@ -500,13 +479,13 @@ int main(int argc, char** argv) {
       std::cerr << "drill: " << drill_name(d.action) << " shard " << d.shard
                 << " after " << submitted << " submissions\n";
       switch (d.action) {
-        case Drill::Action::kKill: sharded->kill(d.shard); break;
-        case Drill::Action::kDrain: sharded->drain(d.shard); break;
-        case Drill::Action::kRevive: sharded->revive(d.shard); break;
+        case Drill::Action::kKill: service.kill(d.shard); break;
+        case Drill::Action::kDrain: service.drain(d.shard); break;
+        case Drill::Action::kRevive: service.revive(d.shard); break;
       }
     }
   };
-  if (sharded) fire_due_drills();  // "@0" drills precede the first job
+  fire_due_drills();  // "@0" drills precede the first job
   while (std::getline(in, line)) {
     ++lineno;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -514,9 +493,9 @@ int main(int argc, char** argv) {
       JobRequest req = job_from_json(json::parse(line), &deployments);
       if (req.job.id.empty()) req.job.id = "line-" + std::to_string(lineno);
       include_plan.push_back(req.include_plan);
-      futures.push_back(submit_one(std::move(req.job)));
+      futures.push_back(service.submit(std::move(req.job)));
       ++submitted;
-      if (sharded) fire_due_drills();
+      fire_due_drills();
     } catch (const std::exception& e) {
       // Malformed request: emit an error result for this line without
       // losing position or stopping the batch. Echo the caller's id when
@@ -550,11 +529,7 @@ int main(int argc, char** argv) {
   }
   std::cout.flush();
 
-  if (sharded) {
-    sharded->shutdown();
-  } else {
-    single->shutdown();
-  }
+  service.shutdown();
   flush_output();
   return failures == 0 ? 0 : 1;
 }

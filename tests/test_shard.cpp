@@ -356,22 +356,26 @@ TEST(ShardedService, RouterPlansAreByteIdenticalToDirectService) {
   ASSERT_TRUE(d.ok) << d.error;
   std::string reference = plan_to_json(d.plan).dump();
 
-  ShardedServiceOptions so;
-  so.shards = 3;
-  so.shard.threads = 2;
-  ShardedMissionService service(so);
-  JobResult r1 = service.submit(f.job("routed", 1)).get();
-  ASSERT_TRUE(r1.ok) << r1.error;
-  EXPECT_EQ(plan_to_json(r1.plan).dump(), reference);
+  // One shard is march_serve's default front door.
+  for (int shards : {3, 1}) {
+    ShardedServiceOptions so;
+    so.shards = shards;
+    so.shard.threads = 2;
+    ShardedMissionService service(so);
+    JobResult r1 = service.submit(f.job("routed", 1)).get();
+    ASSERT_TRUE(r1.ok) << r1.error;
+    EXPECT_EQ(plan_to_json(r1.plan).dump(), reference) << shards << " shards";
+    if (shards == 1) continue;  // no peer to fall back to
 
-  // Still identical when served through the fallback walk.
-  const int home = service.placement_of(f.job("probe", 1)).shard;
-  service.kill(home);
-  JobResult r2 = service.submit(f.job("forwarded", 1)).get();
-  ASSERT_TRUE(r2.ok) << r2.error;
-  EXPECT_EQ(plan_to_json(r2.plan).dump(), reference);
-  EXPECT_GE(service.stats().forwarded, 1u);
-  service.shutdown();
+    // Still identical when served through the fallback walk.
+    const int home = service.placement_of(f.job("probe", 1)).shard;
+    service.kill(home);
+    JobResult r2 = service.submit(f.job("forwarded", 1)).get();
+    ASSERT_TRUE(r2.ok) << r2.error;
+    EXPECT_EQ(plan_to_json(r2.plan).dump(), reference);
+    EXPECT_GE(service.stats().forwarded, 1u);
+    service.shutdown();
+  }
 }
 
 TEST(ShardedService, PerShardMetricsReconcileWithRouterTotals) {
