@@ -1,11 +1,12 @@
 // FaultModel: pointwise evaluation of a FaultSchedule during execution.
 //
-// The ExecutionEngine asks, every tick, "what is wrong right now?" —
-// which robots are dead or degraded, which links are down, how far the
-// radio range has shrunk. The model answers from the schedule alone plus
-// a noise seed, so an execution is a pure function of (plan, schedule,
-// seed): position noise is a counter-free hash of (seed, robot, tick),
-// never a shared RNG stream, so verdicts do not depend on query order.
+// The FaultPlant (march/fault_plant.h) that both execution engines share
+// asks, every tick, "what is wrong right now?" — which robots are dead or
+// degraded, which links are down, how far the radio range has shrunk.
+// The model answers from the schedule alone plus a noise seed, so an
+// execution is a pure function of (plan, schedule, seed): position noise
+// is a counter-free hash of (seed, robot, tick), never a shared RNG
+// stream, so verdicts do not depend on query order.
 #pragma once
 
 #include <cstdint>
