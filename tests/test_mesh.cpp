@@ -13,6 +13,11 @@ TriangleMesh square_mesh() {
                       {Tri{0, 1, 2}, Tri{0, 2, 3}});
 }
 
+std::vector<VertexId> neighbor_list(const TriangleMesh& m, VertexId v) {
+  const auto nb = m.neighbors(v);
+  return {nb.begin(), nb.end()};
+}
+
 TEST(TriangleMesh, BasicCounts) {
   TriangleMesh m = square_mesh();
   EXPECT_EQ(m.num_vertices(), 4u);
@@ -24,8 +29,8 @@ TEST(TriangleMesh, BasicCounts) {
 
 TEST(TriangleMesh, Neighbors) {
   TriangleMesh m = square_mesh();
-  EXPECT_EQ(m.neighbors(0), (std::vector<VertexId>{1, 2, 3}));
-  EXPECT_EQ(m.neighbors(1), (std::vector<VertexId>{0, 2}));
+  EXPECT_EQ(neighbor_list(m, 0), (std::vector<VertexId>{1, 2, 3}));
+  EXPECT_EQ(neighbor_list(m, 1), (std::vector<VertexId>{0, 2}));
 }
 
 TEST(TriangleMesh, EdgeTriangleCount) {
@@ -81,7 +86,7 @@ TEST(TriangleMesh, AdjacencyRebuildsAfterEdit) {
   VertexId v = m.add_vertex({2.0, 0.5});
   m.add_triangle(Tri{1, v, 2});
   EXPECT_EQ(m.edges().size(), 7u);
-  EXPECT_EQ(m.neighbors(1), (std::vector<VertexId>{0, 2, v}));
+  EXPECT_EQ(neighbor_list(m, 1), (std::vector<VertexId>{0, 2, v}));
 }
 
 TEST(TriangleMesh, RejectsBadTriangle) {
