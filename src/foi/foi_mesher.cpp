@@ -10,36 +10,6 @@
 
 namespace anr {
 
-namespace {
-
-// Drops vertices not referenced by any triangle and remaps triangle indices.
-// Keeps `flags` (per-vertex metadata) in sync.
-void compact_mesh(TriangleMesh& mesh, std::vector<char>& flags) {
-  std::vector<int> remap(mesh.num_vertices(), -1);
-  std::vector<Vec2> verts;
-  std::vector<char> new_flags;
-  for (const Tri& t : mesh.triangles()) {
-    for (VertexId v : t) {
-      if (remap[static_cast<std::size_t>(v)] < 0) {
-        remap[static_cast<std::size_t>(v)] = static_cast<int>(verts.size());
-        verts.push_back(mesh.position(v));
-        new_flags.push_back(flags[static_cast<std::size_t>(v)]);
-      }
-    }
-  }
-  std::vector<Tri> tris;
-  tris.reserve(mesh.num_triangles());
-  for (const Tri& t : mesh.triangles()) {
-    tris.push_back(Tri{remap[static_cast<std::size_t>(t[0])],
-                       remap[static_cast<std::size_t>(t[1])],
-                       remap[static_cast<std::size_t>(t[2])]});
-  }
-  mesh = TriangleMesh(std::move(verts), std::move(tris));
-  flags = std::move(new_flags);
-}
-
-}  // namespace
-
 FoiMesh mesh_foi(const FieldOfInterest& foi, const MesherOptions& opt) {
   ANR_CHECK(opt.target_grid_points >= 16);
   double area = foi.area();
@@ -87,11 +57,14 @@ FoiMesh mesh_foi(const FieldOfInterest& foi, const MesherOptions& opt) {
   }
   AlphaExtraction cleaned = clean_to_manifold(TriangleMesh(pts, std::move(kept)));
 
+  // Keep only the vertices the cleaned triangles reference.
+  CompactedMesh compact = compact_vertices(cleaned.mesh);
   FoiMesh out;
-  out.mesh = std::move(cleaned.mesh);
-  out.on_boundary = std::move(on_boundary);
+  out.mesh = std::move(compact.mesh);
+  for (VertexId v : compact.new_to_old) {
+    out.on_boundary.push_back(on_boundary[static_cast<std::size_t>(v)]);
+  }
   out.spacing = h;
-  compact_mesh(out.mesh, out.on_boundary);
   out.mesh.make_ccw();
   out.vertex_index =
       std::make_shared<GridIndex>(out.mesh.positions(), std::max(h, 1e-9));

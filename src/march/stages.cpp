@@ -50,30 +50,14 @@ M2Model precompute_m2(const FieldOfInterest& m2, const MesherOptions& mesher,
 }
 
 CompactT compact_t(const TriangleMesh& t) {
+  CompactedMesh c = compact_vertices(t);
   CompactT out;
-  out.robot_to_compact.assign(t.num_vertices(), -1);
-  std::vector<Vec2> verts;
-  std::vector<int> compact_to_robot;
-  std::vector<Tri> tris;
-  for (const Tri& tri : t.triangles()) {
-    Tri nt{};
-    for (int k = 0; k < 3; ++k) {
-      VertexId v = tri[static_cast<std::size_t>(k)];
-      int& slot = out.robot_to_compact[static_cast<std::size_t>(v)];
-      if (slot < 0) {
-        slot = static_cast<int>(verts.size());
-        verts.push_back(t.position(v));
-        compact_to_robot.push_back(v);
-      }
-      nt[static_cast<std::size_t>(k)] = slot;
-    }
-    tris.push_back(nt);
-  }
-  out.mesh = TriangleMesh(std::move(verts), std::move(tris));
+  out.mesh = std::move(c.mesh);
+  out.robot_to_compact = std::move(c.old_to_new);
   out.is_boundary.assign(t.num_vertices(), 0);
   auto loops = boundary_loops(out.mesh);
   for (VertexId v : loops[outer_loop_index(out.mesh, loops)].vertices) {
-    const int r = compact_to_robot[static_cast<std::size_t>(v)];
+    const int r = c.new_to_old[static_cast<std::size_t>(v)];
     out.ring.push_back(r);
     out.is_boundary[static_cast<std::size_t>(r)] = 1;
   }

@@ -1,13 +1,57 @@
 #include "march/triangulation_extract.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 #include "mesh/delaunay.h"
 #include "net/unit_disk_graph.h"
 
 namespace anr {
+
+namespace {
+
+// Triangles = 3-cliques of the kept links (each robot can form these from
+// its own and its neighbors' keep lists), cleaned to a manifold. `links`
+// is ascending and unique.
+ExtractionResult mesh_from_links(const std::vector<Vec2>& positions,
+                                 const std::vector<EdgeKey>& links,
+                                 std::size_t messages) {
+  // Ascending links append each vertex's smaller neighbors, then its larger
+  // ones, in order: every list comes out sorted.
+  std::vector<std::vector<int>> kept_adj(positions.size());
+  for (const EdgeKey& e : links) {
+    kept_adj[static_cast<std::size_t>(e.a)].push_back(e.b);
+    kept_adj[static_cast<std::size_t>(e.b)].push_back(e.a);
+  }
+  // Each triangle once, from its smallest edge: merge the common
+  // neighbors w > b of a and b.
+  std::vector<Tri> tris;
+  for (const EdgeKey& e : links) {
+    const auto& na = kept_adj[static_cast<std::size_t>(e.a)];
+    const auto& nbb = kept_adj[static_cast<std::size_t>(e.b)];
+    auto ia = std::upper_bound(na.begin(), na.end(), e.b);
+    auto ib = std::upper_bound(nbb.begin(), nbb.end(), e.b);
+    while (ia != na.end() && ib != nbb.end()) {
+      if (*ia < *ib) {
+        ++ia;
+      } else if (*ib < *ia) {
+        ++ib;
+      } else {
+        tris.push_back(Tri{e.a, e.b, *ia});
+        ++ia;
+        ++ib;
+      }
+    }
+  }
+  auto cleaned = clean_to_manifold(TriangleMesh(positions, std::move(tris)));
+  ExtractionResult out;
+  out.mesh = std::move(cleaned.mesh);
+  out.unmeshed = std::move(cleaned.unmeshed);
+  out.messages = messages;
+  return out;
+}
+
+}  // namespace
 
 ExtractionResult extract_triangulation(const std::vector<Vec2>& positions,
                                        double r_c) {
@@ -30,7 +74,8 @@ ExtractionResult extract_triangulation_gabriel(
   std::size_t messages = 0;
   for (const auto& nb : adj) messages += nb.size();
 
-  std::set<EdgeKey> kept_edges;
+  // Rows are sorted, so the kept edges come out ascending.
+  std::vector<EdgeKey> kept_edges;
   for (int u = 0; u < n; ++u) {
     for (int v : adj[static_cast<std::size_t>(u)]) {
       if (v <= u) continue;
@@ -47,34 +92,11 @@ ExtractionResult extract_triangulation_gabriel(
           break;
         }
       }
-      if (!witness) kept_edges.insert(EdgeKey(u, v));
+      if (!witness) kept_edges.emplace_back(u, v);
     }
   }
 
-  // Triangles = 3-cliques of Gabriel edges.
-  std::vector<std::vector<int>> kept_adj(static_cast<std::size_t>(n));
-  for (const EdgeKey& e : kept_edges) {
-    kept_adj[static_cast<std::size_t>(e.a)].push_back(e.b);
-    kept_adj[static_cast<std::size_t>(e.b)].push_back(e.a);
-  }
-  for (auto& list : kept_adj) std::sort(list.begin(), list.end());
-  std::vector<Tri> tris;
-  for (const EdgeKey& e : kept_edges) {
-    const auto& na = kept_adj[static_cast<std::size_t>(e.a)];
-    const auto& nbb = kept_adj[static_cast<std::size_t>(e.b)];
-    std::vector<int> common;
-    std::set_intersection(na.begin(), na.end(), nbb.begin(), nbb.end(),
-                          std::back_inserter(common));
-    for (int w : common) {
-      if (w > e.b) tris.push_back(Tri{e.a, e.b, w});
-    }
-  }
-  auto cleaned = clean_to_manifold(TriangleMesh(positions, std::move(tris)));
-  ExtractionResult out;
-  out.mesh = std::move(cleaned.mesh);
-  out.unmeshed = std::move(cleaned.unmeshed);
-  out.messages = messages;
-  return out;
+  return mesh_from_links(positions, kept_edges, messages);
 }
 
 ExtractionResult extract_triangulation_distributed(
@@ -89,7 +111,7 @@ ExtractionResult extract_triangulation_distributed(
 
   // Each robot computes the Delaunay triangulation of {self} + neighbors
   // and keeps incident edges (<= r_c). This uses only local knowledge.
-  std::vector<std::set<int>> keeps(static_cast<std::size_t>(n));
+  std::vector<std::vector<int>> keeps(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     const auto& nb = adj[static_cast<std::size_t>(v)];
     if (nb.size() < 2) continue;  // cannot form a local triangle
@@ -107,51 +129,27 @@ ExtractionResult extract_triangulation_distributed(
     } catch (const ContractViolation&) {
       continue;  // collinear local neighborhood: keep nothing
     }
-    for (const EdgeKey& e : dt.edges()) {
-      if (e.a != 0 && e.b != 0) continue;  // only edges incident to self
-      int other = ids[static_cast<std::size_t>(e.a == 0 ? e.b : e.a)];
-      keeps[static_cast<std::size_t>(v)].insert(other);
+    auto& keep = keeps[static_cast<std::size_t>(v)];
+    for (VertexId j : dt.neighbors(0)) {  // edges incident to self
+      keep.push_back(ids[static_cast<std::size_t>(j)]);
     }
+    std::sort(keep.begin(), keep.end());
   }
 
   // Agreement round: robots exchange keep-lists with neighbors (1 message
   // per directed link); a link survives iff both ends keep it.
   for (const auto& nb : adj) messages += nb.size();
-  std::set<EdgeKey> kept_edges;
+  std::vector<EdgeKey> kept_edges;  // ascending: v, then u, ascending
   for (int v = 0; v < n; ++v) {
     for (int u : keeps[static_cast<std::size_t>(v)]) {
-      if (u > v && keeps[static_cast<std::size_t>(u)].count(v)) {
-        kept_edges.insert(EdgeKey(v, u));
+      const auto& back = keeps[static_cast<std::size_t>(u)];
+      if (u > v && std::binary_search(back.begin(), back.end(), v)) {
+        kept_edges.emplace_back(v, u);
       }
     }
   }
 
-  // Triangles = 3-cliques of kept edges (each robot can form these from
-  // its own and neighbors' keep lists).
-  std::vector<std::vector<int>> kept_adj(static_cast<std::size_t>(n));
-  for (const EdgeKey& e : kept_edges) {
-    kept_adj[static_cast<std::size_t>(e.a)].push_back(e.b);
-    kept_adj[static_cast<std::size_t>(e.b)].push_back(e.a);
-  }
-  for (auto& list : kept_adj) std::sort(list.begin(), list.end());
-  std::vector<Tri> tris;
-  for (const EdgeKey& e : kept_edges) {
-    const auto& na = kept_adj[static_cast<std::size_t>(e.a)];
-    const auto& nbb = kept_adj[static_cast<std::size_t>(e.b)];
-    std::vector<int> common;
-    std::set_intersection(na.begin(), na.end(), nbb.begin(), nbb.end(),
-                          std::back_inserter(common));
-    for (int w : common) {
-      if (w > e.b) tris.push_back(Tri{e.a, e.b, w});
-    }
-  }
-
-  auto cleaned = clean_to_manifold(TriangleMesh(positions, std::move(tris)));
-  ExtractionResult out;
-  out.mesh = std::move(cleaned.mesh);
-  out.unmeshed = std::move(cleaned.unmeshed);
-  out.messages = messages;
-  return out;
+  return mesh_from_links(positions, kept_edges, messages);
 }
 
 }  // namespace anr

@@ -1,8 +1,6 @@
 #include "mesh/alpha_extract.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "common/check.h"
 #include "mesh/delaunay.h"
@@ -11,37 +9,26 @@ namespace anr {
 
 namespace {
 
-// Partitions triangles into edge-connected components; returns component id
-// per triangle and the size of each component.
+// Edge-connected components of `tris`, numbered in order of their smallest
+// triangle. Returns the component of each triangle and each one's size.
 std::pair<std::vector<int>, std::vector<int>> triangle_components(
-    const std::vector<Tri>& tris) {
-  std::map<EdgeKey, std::vector<int>> edge_to_tris;
-  for (std::size_t ti = 0; ti < tris.size(); ++ti) {
-    const Tri& t = tris[ti];
-    for (int k = 0; k < 3; ++k) {
-      edge_to_tris[EdgeKey(t[static_cast<std::size_t>(k)],
-                           t[static_cast<std::size_t>((k + 1) % 3)])]
-          .push_back(static_cast<int>(ti));
-    }
-  }
+    const std::vector<Tri>& tris, std::size_t num_vertices) {
+  const EdgeIncidence inc = edge_incidence(tris, num_vertices);
   std::vector<int> comp(tris.size(), -1);
   std::vector<int> sizes;
+  std::vector<int> stack;
   for (std::size_t seed = 0; seed < tris.size(); ++seed) {
     if (comp[seed] >= 0) continue;
-    int id = static_cast<int>(sizes.size());
+    const int id = static_cast<int>(sizes.size());
     sizes.push_back(0);
-    std::vector<int> stack{static_cast<int>(seed)};
+    stack.assign(1, static_cast<int>(seed));
     comp[seed] = id;
     while (!stack.empty()) {
-      int ti = stack.back();
+      const int ti = stack.back();
       stack.pop_back();
       ++sizes[static_cast<std::size_t>(id)];
-      const Tri& t = tris[static_cast<std::size_t>(ti)];
       for (int k = 0; k < 3; ++k) {
-        const auto& adj =
-            edge_to_tris[EdgeKey(t[static_cast<std::size_t>(k)],
-                                 t[static_cast<std::size_t>((k + 1) % 3)])];
-        for (int tj : adj) {
+        for (int tj : inc.triangles(inc.tri_edges[static_cast<std::size_t>(3 * ti + k)])) {
           if (comp[static_cast<std::size_t>(tj)] < 0) {
             comp[static_cast<std::size_t>(tj)] = id;
             stack.push_back(tj);
@@ -53,93 +40,56 @@ std::pair<std::vector<int>, std::vector<int>> triangle_components(
   return {std::move(comp), std::move(sizes)};
 }
 
-// Splits the triangles incident to vertex v into fan components connected
-// through edges incident to v. Returns the triangle-index groups.
-std::vector<std::vector<int>> vertex_fans(const TriangleMesh& mesh, VertexId v) {
-  const auto& inc = mesh.vertex_triangles(v);
-  std::vector<std::vector<int>> fans;
-  std::set<int> left(inc.begin(), inc.end());
-  const auto& tris = mesh.triangles();
-  while (!left.empty()) {
-    int seed = *left.begin();
-    left.erase(left.begin());
-    std::vector<int> fan{seed};
-    std::vector<int> stack{seed};
-    while (!stack.empty()) {
-      int ti = stack.back();
-      stack.pop_back();
-      const Tri& t = tris[static_cast<std::size_t>(ti)];
-      for (auto it = left.begin(); it != left.end();) {
-        const Tri& s = tris[static_cast<std::size_t>(*it)];
-        int common = 0;
-        for (VertexId a : t) {
-          for (VertexId b : s) {
-            if (a == b) ++common;
-          }
-        }
-        if (common >= 2) {  // shares the edge through v (v plus one more)
-          fan.push_back(*it);
-          stack.push_back(*it);
-          it = left.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    fans.push_back(std::move(fan));
-  }
-  return fans;
-}
-
 }  // namespace
 
 AlphaExtraction clean_to_manifold(TriangleMesh mesh) {
-  // Iterate: keep largest edge-connected component, then break bowties by
-  // dropping all but the largest fan at each non-manifold vertex. Each pass
-  // strictly removes triangles, so this terminates.
-  for (int pass = 0; pass < 64; ++pass) {
-    std::vector<Tri> tris = mesh.triangles();
-    if (tris.empty()) break;
-
-    auto [comp, sizes] = triangle_components(tris);
-    int largest = static_cast<int>(
+  // Iterate: keep the largest edge-connected component, then break bowties
+  // by dropping all but the largest fan at each non-manifold vertex (fans
+  // and components ordered by their smallest triangle, ties to the first).
+  // Each pass strictly removes triangles, so this terminates.
+  const std::size_t nv = mesh.num_vertices();
+  std::vector<Tri> tris = mesh.triangles();
+  FanSplitter splitter(nv);
+  std::vector<int> fan;
+  std::vector<int> fan_sizes;
+  for (int pass = 0; pass < 64 && !tris.empty(); ++pass) {
+    auto [comp, sizes] = triangle_components(tris, nv);
+    const int largest = static_cast<int>(
         std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-    std::vector<Tri> kept;
-    kept.reserve(tris.size());
-    for (std::size_t ti = 0; ti < tris.size(); ++ti) {
-      if (comp[ti] == largest) kept.push_back(tris[ti]);
-    }
-    bool dropped_component = kept.size() != tris.size();
-    mesh.set_triangles(std::move(kept));
+    std::vector<char> keep(tris.size());
+    for (std::size_t ti = 0; ti < tris.size(); ++ti) keep[ti] = comp[ti] == largest;
+    const bool dropped_component =
+        sizes[static_cast<std::size_t>(largest)] != static_cast<int>(tris.size());
 
-    // Find bowtie vertices and drop their minority fans.
-    std::set<int> to_drop;
-    for (std::size_t v = 0; v < mesh.num_vertices(); ++v) {
-      if (mesh.vertex_triangles(static_cast<VertexId>(v)).empty()) continue;
-      auto fans = vertex_fans(mesh, static_cast<VertexId>(v));
-      if (fans.size() <= 1) continue;
-      std::size_t largest_fan = 0;
-      for (std::size_t f = 1; f < fans.size(); ++f) {
-        if (fans[f].size() > fans[largest_fan].size()) largest_fan = f;
+    // Fans over the kept component, all judged on the same triangle set.
+    const VertexIncidence vinc = vertex_incidence(tris, nv, &keep);
+    std::vector<char> drop(tris.size(), 0);
+    bool dropped_fan = false;
+    for (std::size_t v = 0; v < nv; ++v) {
+      const std::span<const int> at_v = vinc.triangles(static_cast<VertexId>(v));
+      if (at_v.size() < 2) continue;
+      const int fans = splitter.split(tris, static_cast<VertexId>(v), at_v, fan);
+      if (fans <= 1) continue;
+      fan_sizes.assign(static_cast<std::size_t>(fans), 0);
+      for (int f : fan) ++fan_sizes[static_cast<std::size_t>(f)];
+      const int best = static_cast<int>(
+          std::max_element(fan_sizes.begin(), fan_sizes.end()) - fan_sizes.begin());
+      for (std::size_t i = 0; i < at_v.size(); ++i) {
+        if (fan[i] != best) drop[static_cast<std::size_t>(at_v[i])] = 1;
       }
-      for (std::size_t f = 0; f < fans.size(); ++f) {
-        if (f == largest_fan) continue;
-        to_drop.insert(fans[f].begin(), fans[f].end());
-      }
+      dropped_fan = true;
     }
-    if (to_drop.empty() && !dropped_component) break;  // already clean
-    if (!to_drop.empty()) {
-      std::vector<Tri> pruned;
-      const auto& cur = mesh.triangles();
-      pruned.reserve(cur.size() - to_drop.size());
-      for (std::size_t ti = 0; ti < cur.size(); ++ti) {
-        if (!to_drop.count(static_cast<int>(ti))) pruned.push_back(cur[ti]);
-      }
-      mesh.set_triangles(std::move(pruned));
-    } else if (!dropped_component) {
-      break;
+    if (!dropped_fan && !dropped_component) break;  // already clean
+    std::size_t out = 0;
+    for (std::size_t ti = 0; ti < tris.size(); ++ti) {
+      if (keep[ti] && !drop[ti]) tris[out++] = tris[ti];
     }
+    tris.resize(out);
+    // Dropping only other components leaves one bowtie-free component:
+    // the next pass would change nothing.
+    if (!dropped_fan) break;
   }
+  mesh.set_triangles(std::move(tris));
   ANR_CHECK_MSG(mesh.vertex_manifold(), "cleanup failed to reach manifold");
   mesh.make_ccw();
 

@@ -1,6 +1,6 @@
 #include "mesh/boundary.h"
 
-#include <map>
+#include <array>
 
 #include "common/check.h"
 #include "geom/polygon.h"
@@ -17,32 +17,42 @@ double BoundaryLoop::length(const TriangleMesh& mesh) const {
 }
 
 std::vector<BoundaryLoop> boundary_loops(const TriangleMesh& mesh) {
-  auto bedges = mesh.boundary_edges();
   // Adjacency restricted to boundary edges. On a vertex-manifold mesh every
   // boundary vertex has exactly two incident boundary edges, so the chains
-  // close into simple cycles.
-  std::map<VertexId, std::vector<VertexId>> adj;
-  for (const EdgeKey& e : bedges) {
-    adj[e.a].push_back(e.b);
-    adj[e.b].push_back(e.a);
+  // close into simple cycles. The edges come sorted, so each vertex's two
+  // boundary neighbours land in ascending order.
+  const std::size_t nv = mesh.num_vertices();
+  std::vector<std::array<VertexId, 2>> adj(nv, {-1, -1});
+  std::vector<int> degree(nv, 0);
+  auto link = [&](VertexId v, VertexId u) {
+    int& d = degree[static_cast<std::size_t>(v)];
+    if (d < 2) adj[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)] = u;
+    ++d;
+  };
+  for (const EdgeKey& e : mesh.boundary_edges()) {
+    link(e.a, e.b);
+    link(e.b, e.a);
   }
-  for (const auto& [v, nb] : adj) {
-    ANR_CHECK_MSG(nb.size() == 2,
+  for (int d : degree) {
+    ANR_CHECK_MSG(d == 0 || d == 2,
                   "boundary vertex without exactly two boundary edges "
                   "(non-manifold mesh?)");
   }
 
+  // Each loop starts at its smallest vertex and steps first to that
+  // vertex's smaller boundary neighbour.
   std::vector<BoundaryLoop> loops;
-  std::map<VertexId, bool> visited;
-  for (const auto& [start, nb] : adj) {
-    if (visited[start]) continue;
+  std::vector<char> visited(nv, 0);
+  for (std::size_t s = 0; s < nv; ++s) {
+    if (degree[s] == 0 || visited[s]) continue;
+    const auto start = static_cast<VertexId>(s);
     BoundaryLoop loop;
     VertexId prev = -1;
     VertexId cur = start;
     do {
       loop.vertices.push_back(cur);
-      visited[cur] = true;
-      const auto& candidates = adj[cur];
+      visited[static_cast<std::size_t>(cur)] = 1;
+      const auto& candidates = adj[static_cast<std::size_t>(cur)];
       VertexId next = (candidates[0] == prev) ? candidates[1] : candidates[0];
       prev = cur;
       cur = next;

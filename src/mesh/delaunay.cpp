@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <numeric>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "geom/polygon.h"
@@ -25,10 +22,31 @@ constexpr int kSpatialSortMin = 2048;
 // infinity, CGAL-style); finite triangles cache their circumcircle.
 struct TriRec {
   Tri t;            // CCW in the (jittered) working coordinates
+  // nb[k]: the alive triangle across edge (t[k], t[k+1]), -1 on the hull of
+  // the super triangle. Valid while this triangle is alive.
+  std::array<int, 3> nb{-1, -1, -1};
   int supers = 0;   // how many vertices are super vertices
   Vec2 cc;          // circumcenter (finite triangles only)
   double r2 = 0.0;  // squared circumradius (finite triangles only)
   bool alive = true;
+};
+
+// Slot k of `t` whose edge (t[k], t[k+1]) joins a and b, either way round.
+int edge_slot(const Tri& t, VertexId a, VertexId b) {
+  for (int k = 0; k < 3; ++k) {
+    VertexId u = t[static_cast<std::size_t>(k)];
+    VertexId v = t[static_cast<std::size_t>((k + 1) % 3)];
+    if ((u == a && v == b) || (u == b && v == a)) return k;
+  }
+  ANR_CHECK_MSG(false, "triangle does not have the edge");
+  return -1;
+}
+
+// One cavity boundary edge: the dead triangle inside it and the alive
+// triangle outside (-1 on the hull of the super triangle).
+struct CavityEdge {
+  EdgeKey e;
+  int outside;
 };
 
 class Builder {
@@ -72,36 +90,44 @@ class Builder {
     side_ = std::max(1, static_cast<int>(std::sqrt(static_cast<double>(n) / 2.0)));
     hint_.assign(static_cast<std::size_t>(side_) * static_cast<std::size_t>(side_), -1);
 
-    tris_.reserve(4 * n + 16);
-    em_.reserve(4 * n + 16);
+    // Serpentine insertion of a 4096-robot lattice creates about 11
+    // triangles per point; pages of the reserve left unused are never
+    // touched.
+    tris_.reserve(12 * n + 16);
+    const std::size_t nv = n + 3;
+    vgen_.assign(nv, 0);
+    vdeg_.assign(nv, 0);
+    spoke_gen_.assign(nv, 0);
+    spoke_slot_.assign(nv, -1);
     add_tri(Tri{s0_, s0_ + 1, s0_ + 2});
   }
 
   TriangleMesh run() {
     std::vector<int> order(static_cast<std::size_t>(s0_));
-    std::iota(order.begin(), order.end(), 0);
     if (s0_ >= kSpatialSortMin) {
       // Serpentine (boustrophedon) cell order: row-major over coarse grid
       // cells, alternating column direction per row, input index as the
-      // tie-break. Keeps consecutive insertions spatially adjacent.
+      // tie-break. Keeps consecutive insertions spatially adjacent. Each
+      // point's (cell rank, index) is packed into one sort key.
       const int cols = std::max(1, static_cast<int>(
           std::sqrt(static_cast<double>(s0_) / 4.0)));
       const double cell = span_ / static_cast<double>(cols);
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        Vec2 pa = work_[static_cast<std::size_t>(a)];
-        Vec2 pb = work_[static_cast<std::size_t>(b)];
-        int ya = std::clamp(static_cast<int>((pa.y - lo_.y) / cell), 0, cols - 1);
-        int yb = std::clamp(static_cast<int>((pb.y - lo_.y) / cell), 0, cols - 1);
-        if (ya != yb) return ya < yb;
-        int xa = std::clamp(static_cast<int>((pa.x - lo_.x) / cell), 0, cols - 1);
-        int xb = std::clamp(static_cast<int>((pb.x - lo_.x) / cell), 0, cols - 1);
-        if ((ya & 1) != 0) {
-          xa = cols - 1 - xa;
-          xb = cols - 1 - xb;
-        }
-        if (xa != xb) return xa < xb;
-        return a < b;
-      });
+      std::vector<std::uint64_t> keys(order.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const Vec2 p = work_[i];
+        const int y = std::clamp(static_cast<int>((p.y - lo_.y) / cell), 0, cols - 1);
+        int x = std::clamp(static_cast<int>((p.x - lo_.x) / cell), 0, cols - 1);
+        if ((y & 1) != 0) x = cols - 1 - x;
+        const auto rank = static_cast<std::uint64_t>(y) * static_cast<std::uint64_t>(cols) +
+                          static_cast<std::uint64_t>(x);
+        keys[i] = (rank << 32) | i;
+      }
+      std::sort(keys.begin(), keys.end());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        order[i] = static_cast<int>(keys[i] & 0xffffffffu);
+      }
+    } else {
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
     }
     for (int pi : order) {
       insert(pi);
@@ -117,55 +143,6 @@ class Builder {
 
  private:
   bool is_super(int v) const { return v >= s0_; }
-
-  static std::uint64_t edge_key(VertexId a, VertexId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-           static_cast<std::uint32_t>(b);
-  }
-
-  // Persistent edge -> alive-triangle incidence (at most two per edge in a
-  // valid triangulation), updated as triangles are created and killed. This
-  // replaces the per-insertion O(n log n) rebuild of a full edge map.
-  void link_edges(int ti) {
-    const Tri& t = tris_[static_cast<std::size_t>(ti)].t;
-    for (int k = 0; k < 3; ++k) {
-      auto [it, inserted] =
-          em_.try_emplace(edge_key(t[static_cast<std::size_t>(k)],
-                                   t[static_cast<std::size_t>((k + 1) % 3)]),
-                          std::array<int, 2>{-1, -1});
-      auto& slots = it->second;
-      if (slots[0] < 0) {
-        slots[0] = ti;
-      } else if (slots[1] < 0) {
-        slots[1] = ti;
-      } else {
-        ANR_CHECK_MSG(false, "edge incident to more than two alive triangles");
-      }
-    }
-  }
-
-  void unlink_edges(int ti) {
-    const Tri& t = tris_[static_cast<std::size_t>(ti)].t;
-    for (int k = 0; k < 3; ++k) {
-      std::uint64_t key = edge_key(t[static_cast<std::size_t>(k)],
-                                   t[static_cast<std::size_t>((k + 1) % 3)]);
-      auto it = em_.find(key);
-      ANR_CHECK_MSG(it != em_.end(), "unlinking an unregistered edge");
-      auto& slots = it->second;
-      if (slots[0] == ti) slots[0] = -1;
-      if (slots[1] == ti) slots[1] = -1;
-      if (slots[0] < 0 && slots[1] < 0) em_.erase(it);
-    }
-  }
-
-  int neighbor_across(VertexId a, VertexId b, int self) const {
-    auto it = em_.find(edge_key(a, b));
-    if (it == em_.end()) return -1;
-    if (it->second[0] != self && it->second[0] >= 0) return it->second[0];
-    if (it->second[1] != self && it->second[1] >= 0) return it->second[1];
-    return -1;
-  }
 
   int add_tri(Tri t) {
     TriRec tr;
@@ -190,7 +167,6 @@ class Builder {
     }
     int ti = static_cast<int>(tris_.size());
     tris_.push_back(tr);
-    link_edges(ti);
     last_tri_ = ti;
     if (tr.supers == 0) {
       Vec2 centroid = (work_[static_cast<std::size_t>(t[0])] +
@@ -269,7 +245,7 @@ class Builder {
         VertexId b = tr.t[static_cast<std::size_t>((k + 1) % 3)];
         if (signed_area2(work_[static_cast<std::size_t>(a)],
                          work_[static_cast<std::size_t>(b)], p) < 0.0) {
-          nxt = neighbor_across(a, b, cur);
+          nxt = tr.nb[static_cast<std::size_t>(k)];
         }
       }
       if (nxt < 0) return cur;
@@ -313,23 +289,27 @@ class Builder {
     // Growing from the containing triangle keeps the cavity connected even
     // when borderline conflict tests disagree far away (near-degenerate
     // inputs); stray "conflicting" islands are simply not excavated.
-    // Generation-stamped marks avoid an O(tris) clear per insertion.
+    // Generation-stamped marks avoid an O(tris) clear per insertion. An
+    // edge whose far side stays out of the cavity is a boundary edge.
     if (stamp_.size() < tris_.size()) stamp_.resize(tris_.size(), 0);
     ++gen_;
     bad_.clear();
+    boundary_.clear();
     bad_.push_back(seed);
     stamp_[static_cast<std::size_t>(seed)] = gen_;
     for (std::size_t head = 0; head < bad_.size(); ++head) {
       const TriRec& tr = tris_[static_cast<std::size_t>(bad_[head])];
       for (int k = 0; k < 3; ++k) {
-        auto it = em_.find(edge_key(tr.t[static_cast<std::size_t>(k)],
-                                    tr.t[static_cast<std::size_t>((k + 1) % 3)]));
-        if (it == em_.end()) continue;
-        for (int tj : it->second) {
-          if (tj < 0 || stamp_[static_cast<std::size_t>(tj)] == gen_) continue;
-          if (!in_conflict(tris_[static_cast<std::size_t>(tj)], p)) continue;
+        const int tj = tr.nb[static_cast<std::size_t>(k)];
+        if (tj >= 0 && stamp_[static_cast<std::size_t>(tj)] == gen_) continue;
+        if (tj >= 0 && in_conflict(tris_[static_cast<std::size_t>(tj)], p)) {
           stamp_[static_cast<std::size_t>(tj)] = gen_;
           bad_.push_back(tj);
+        } else {
+          boundary_.push_back(CavityEdge{
+              EdgeKey(tr.t[static_cast<std::size_t>(k)],
+                      tr.t[static_cast<std::size_t>((k + 1) % 3)]),
+              tj});
         }
       }
     }
@@ -341,28 +321,7 @@ class Builder {
     // fine there.
     for (int guard = 0;; ++guard) {
       ANR_CHECK_MSG(guard < 64, "cavity pinch repair did not converge");
-      cavity_edges_.clear();
-      for (int ti : bad_) {
-        const TriRec& tr = tris_[static_cast<std::size_t>(ti)];
-        for (int k = 0; k < 3; ++k) {
-          ++cavity_edges_[EdgeKey(tr.t[static_cast<std::size_t>(k)],
-                                  tr.t[static_cast<std::size_t>((k + 1) % 3)])];
-        }
-      }
-      std::map<int, int> degree;
-      for (const auto& [e, cnt] : cavity_edges_) {
-        if (cnt == 1) {
-          ++degree[e.a];
-          ++degree[e.b];
-        }
-      }
-      int pinch = -1;
-      for (const auto& [v, d] : degree) {
-        if (d > 2) {
-          pinch = v;
-          break;
-        }
-      }
+      const int pinch = find_pinch();
       if (pinch < 0) break;
 
       // Group the alive, non-cavity triangles incident to `pinch` into
@@ -388,15 +347,12 @@ class Builder {
             VertexId a = tr.t[static_cast<std::size_t>(k)];
             VertexId b = tr.t[static_cast<std::size_t>((k + 1) % 3)];
             if (a != pinch && b != pinch) continue;
-            auto it = em_.find(edge_key(a, b));
-            if (it == em_.end()) continue;
-            for (int tj : it->second) {
-              if (tj < 0) continue;
-              for (std::size_t o = 0; o < candidates.size(); ++o) {
-                if (!grouped[o] && candidates[o] == tj) {
-                  grouped[o] = 1;
-                  fan.push_back(tj);
-                }
+            const int tj = tr.nb[static_cast<std::size_t>(k)];
+            if (tj < 0) continue;
+            for (std::size_t o = 0; o < candidates.size(); ++o) {
+              if (!grouped[o] && candidates[o] == tj) {
+                grouped[o] = 1;
+                fan.push_back(tj);
               }
             }
           }
@@ -409,16 +365,79 @@ class Builder {
         stamp_[static_cast<std::size_t>(ti)] = gen_;
         bad_.push_back(ti);
       }
+      collect_boundary();
     }
 
+    // Retriangulate: one triangle per boundary edge, created in ascending
+    // edge order so triangle ids (and hence the output order) depend on the
+    // cavity only. Each new triangle links across its boundary edge to the
+    // outside triangle and across its two spokes to its cavity neighbours.
+    for (int ti : bad_) tris_[static_cast<std::size_t>(ti)].alive = false;
+    std::sort(boundary_.begin(), boundary_.end(),
+              [](const CavityEdge& x, const CavityEdge& y) { return x.e < y.e; });
+    for (const CavityEdge& be : boundary_) {
+      const int ti = add_tri(Tri{be.e.a, be.e.b, pi});
+      // add_tri keeps (a, b, pi) or flips it to (a, pi, b): edge (a, b) is
+      // slot 0 or 2, spoke (b, pi) slot 1, spoke (pi, a) slot 2 or 0.
+      const bool flipped = tris_[static_cast<std::size_t>(ti)].t[1] == pi;
+      tris_[static_cast<std::size_t>(ti)].nb[flipped ? 2 : 0] = be.outside;
+      if (be.outside >= 0) {
+        TriRec& out = tris_[static_cast<std::size_t>(be.outside)];
+        out.nb[static_cast<std::size_t>(edge_slot(out.t, be.e.a, be.e.b))] = ti;
+      }
+      link_spoke(be.e.a, 3 * ti + (flipped ? 0 : 2));
+      link_spoke(be.e.b, 3 * ti + 1);
+    }
+  }
+
+  // Rebuilds the boundary edges from the cavity marks (after the pinch
+  // repair grew the cavity).
+  void collect_boundary() {
+    boundary_.clear();
     for (int ti : bad_) {
-      tris_[static_cast<std::size_t>(ti)].alive = false;
-      unlink_edges(ti);
+      const TriRec& tr = tris_[static_cast<std::size_t>(ti)];
+      for (int k = 0; k < 3; ++k) {
+        const int tj = tr.nb[static_cast<std::size_t>(k)];
+        if (tj >= 0 && stamp_[static_cast<std::size_t>(tj)] == gen_) continue;
+        boundary_.push_back(CavityEdge{
+            EdgeKey(tr.t[static_cast<std::size_t>(k)],
+                    tr.t[static_cast<std::size_t>((k + 1) % 3)]),
+            tj});
+      }
     }
-    for (const auto& [e, cnt] : cavity_edges_) {
-      if (cnt != 1) continue;
-      add_tri(Tri{e.a, e.b, pi});
+  }
+
+  // Smallest vertex on more than two cavity boundary edges, or -1.
+  int find_pinch() {
+    ++vround_;
+    int pinch = -1;
+    for (const CavityEdge& be : boundary_) {
+      for (VertexId v : {be.e.a, be.e.b}) {
+        const auto vi = static_cast<std::size_t>(v);
+        if (vgen_[vi] != vround_) {
+          vgen_[vi] = vround_;
+          vdeg_[vi] = 0;
+        }
+        if (++vdeg_[vi] == 3 && (pinch < 0 || v < pinch)) pinch = v;
+      }
     }
+    return pinch;
+  }
+
+  // Links the new triangles on spoke (v, pi) once both exist; `slot` is
+  // 3 * triangle + k of this one's side on the spoke.
+  void link_spoke(VertexId v, int slot) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (spoke_gen_[vi] != gen_) {
+      spoke_gen_[vi] = gen_;
+      spoke_slot_[vi] = slot;
+      return;
+    }
+    const int other = spoke_slot_[vi];
+    ANR_CHECK_MSG(other >= 0, "edge incident to more than two alive triangles");
+    tris_[static_cast<std::size_t>(slot / 3)].nb[static_cast<std::size_t>(slot % 3)] = other / 3;
+    tris_[static_cast<std::size_t>(other / 3)].nb[static_cast<std::size_t>(other % 3)] = slot / 3;
+    spoke_slot_[vi] = -1;
   }
 
   const std::vector<Vec2>& input_;
@@ -428,10 +447,18 @@ class Builder {
   int s0_ = 0;
   std::vector<TriRec> tris_;
   std::vector<int> bad_;
-  std::map<EdgeKey, int> cavity_edges_;
-  std::unordered_map<std::uint64_t, std::array<int, 2>> em_;
-  std::vector<int> stamp_;
-  int gen_ = 0;
+  std::vector<CavityEdge> boundary_;
+  std::vector<int> stamp_;   // per triangle: gen_ when in the current cavity
+  int gen_ = 0;              // insertion counter
+  // Per vertex: boundary-edge count of the current pinch check (valid when
+  // vgen_ == vround_), and the side of the first new triangle on spoke
+  // (v, pi) of the current insertion (valid when spoke_gen_ == gen_; -1
+  // once paired).
+  std::vector<int> vgen_;
+  std::vector<int> vdeg_;
+  int vround_ = 0;
+  std::vector<int> spoke_gen_;
+  std::vector<int> spoke_slot_;
   int last_tri_ = 0;
   int side_ = 1;
   std::vector<int> hint_;

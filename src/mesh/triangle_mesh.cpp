@@ -1,12 +1,134 @@
 #include "mesh/triangle_mesh.h"
 
 #include <algorithm>
-#include <set>
+#include <numeric>
 
 #include "common/check.h"
 #include "geom/predicates.h"
 
 namespace anr {
+
+EdgeIncidence edge_incidence(const std::vector<Tri>& tris, std::size_t num_vertices) {
+  // Bucket each triangle side by its smaller endpoint (counting sort, in
+  // triangle order), order each bucket by the larger endpoint, and number
+  // the runs of equal endpoints as edges.
+  struct Side {
+    VertexId b;
+    int slot;  // 3 * triangle + k
+  };
+  std::vector<int> start(num_vertices + 1, 0);
+  for (const Tri& t : tris) {
+    for (int k = 0; k < 3; ++k) {
+      ++start[static_cast<std::size_t>(std::min(t[static_cast<std::size_t>(k)],
+                                                 t[static_cast<std::size_t>((k + 1) % 3)])) + 1];
+    }
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<Side> sides(3 * tris.size());
+  std::vector<int> fill(start.begin(), start.end() - 1);
+  for (std::size_t ti = 0; ti < tris.size(); ++ti) {
+    const Tri& t = tris[ti];
+    for (int k = 0; k < 3; ++k) {
+      const EdgeKey e(t[static_cast<std::size_t>(k)], t[static_cast<std::size_t>((k + 1) % 3)]);
+      sides[static_cast<std::size_t>(fill[static_cast<std::size_t>(e.a)]++)] =
+          Side{e.b, static_cast<int>(3 * ti) + k};
+    }
+  }
+
+  EdgeIncidence out;
+  out.tri_edges.resize(3 * tris.size());
+  out.tris.reserve(sides.size());
+  out.offsets.push_back(0);
+  for (std::size_t a = 0; a < num_vertices; ++a) {
+    auto first = sides.begin() + start[a];
+    auto last = sides.begin() + start[a + 1];
+    // Sides arrive in triangle order, so a stable sort keeps each edge's
+    // triangles ascending. Buckets hold a handful of sides: insertion sort.
+    auto by_b = [](const Side& x, const Side& y) { return x.b < y.b; };
+    if (last - first > 32) {
+      std::stable_sort(first, last, by_b);
+    } else {
+      for (auto it = first; it != last; ++it) {
+        const Side cur = *it;
+        auto hole = it;
+        for (; hole != first && by_b(cur, *(hole - 1)); --hole) *hole = *(hole - 1);
+        *hole = cur;
+      }
+    }
+    for (auto it = first; it != last; ++it) {
+      if (it == first || it->b != (it - 1)->b) {
+        if (it != first) out.offsets.push_back(static_cast<int>(out.tris.size()));
+        out.edges.emplace_back(static_cast<VertexId>(a), it->b);
+      }
+      out.tris.push_back(it->slot / 3);
+      out.tri_edges[static_cast<std::size_t>(it->slot)] = static_cast<int>(out.edges.size()) - 1;
+    }
+    if (first != last) out.offsets.push_back(static_cast<int>(out.tris.size()));
+  }
+  return out;
+}
+
+VertexIncidence vertex_incidence(const std::vector<Tri>& tris, std::size_t num_vertices,
+                                 const std::vector<char>* keep) {
+  VertexIncidence out;
+  out.offsets.assign(num_vertices + 1, 0);
+  auto kept = [&](std::size_t ti) { return keep == nullptr || (*keep)[ti] != 0; };
+  for (std::size_t ti = 0; ti < tris.size(); ++ti) {
+    if (!kept(ti)) continue;
+    for (VertexId v : tris[ti]) ++out.offsets[static_cast<std::size_t>(v) + 1];
+  }
+  std::partial_sum(out.offsets.begin(), out.offsets.end(), out.offsets.begin());
+  out.tris.resize(static_cast<std::size_t>(out.offsets.back()));
+  std::vector<int> fill(out.offsets.begin(), out.offsets.end() - 1);
+  for (std::size_t ti = 0; ti < tris.size(); ++ti) {
+    if (!kept(ti)) continue;
+    for (VertexId v : tris[ti]) {
+      out.tris[static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++)] =
+          static_cast<int>(ti);
+    }
+  }
+  return out;
+}
+
+int FanSplitter::find(int i) {
+  while (parent_[static_cast<std::size_t>(i)] != i) {
+    int& p = parent_[static_cast<std::size_t>(i)];
+    p = parent_[static_cast<std::size_t>(p)];
+    i = p;
+  }
+  return i;
+}
+
+int FanSplitter::split(const std::vector<Tri>& tris, VertexId v, std::span<const int> inc,
+                       std::vector<int>& fan) {
+  // Union the triangles that hold the same second vertex w: they share the
+  // edge (v, w).
+  ++round_;
+  const std::size_t m = inc.size();
+  parent_.resize(m);
+  std::iota(parent_.begin(), parent_.end(), 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (VertexId w : tris[static_cast<std::size_t>(inc[i])]) {
+      if (w == v) continue;
+      const auto wi = static_cast<std::size_t>(w);
+      if (seen_[wi] != round_) {
+        seen_[wi] = round_;
+        first_[wi] = static_cast<int>(i);
+      } else {
+        parent_[static_cast<std::size_t>(find(static_cast<int>(i)))] = find(first_[wi]);
+      }
+    }
+  }
+  label_.assign(m, -1);
+  fan.resize(m);
+  int fans = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    int& id = label_[static_cast<std::size_t>(find(static_cast<int>(i)))];
+    if (id < 0) id = fans++;
+    fan[i] = id;
+  }
+  return fans;
+}
 
 TriangleMesh::TriangleMesh(std::vector<Vec2> vertices, std::vector<Tri> triangles)
     : verts_(std::move(vertices)), tris_(std::move(triangles)) {
@@ -23,9 +145,7 @@ TriangleMesh::TriangleMesh(const TriangleMesh& other) {
   verts_ = other.verts_;
   tris_ = other.tris_;
   if (other.adjacency_valid_.load(std::memory_order_acquire)) {
-    nbr_ = other.nbr_;
-    vert_tris_ = other.vert_tris_;
-    edge_tris_ = other.edge_tris_;
+    adj_ = other.adj_;
     adjacency_valid_.store(true, std::memory_order_release);
   }
 }
@@ -42,9 +162,7 @@ TriangleMesh::TriangleMesh(TriangleMesh&& other) noexcept
   // Moving from a mesh concurrently queried elsewhere is a caller bug
   // (same contract as std containers); no lock needed.
   if (other.adjacency_valid_.load(std::memory_order_acquire)) {
-    nbr_ = std::move(other.nbr_);
-    vert_tris_ = std::move(other.vert_tris_);
-    edge_tris_ = std::move(other.edge_tris_);
+    adj_ = std::move(other.adj_);
     adjacency_valid_.store(true, std::memory_order_release);
   }
   other.adjacency_valid_.store(false, std::memory_order_release);
@@ -55,9 +173,7 @@ TriangleMesh& TriangleMesh::operator=(TriangleMesh&& other) noexcept {
   verts_ = std::move(other.verts_);
   tris_ = std::move(other.tris_);
   if (other.adjacency_valid_.load(std::memory_order_acquire)) {
-    nbr_ = std::move(other.nbr_);
-    vert_tris_ = std::move(other.vert_tris_);
-    edge_tris_ = std::move(other.edge_tris_);
+    adj_ = std::move(other.adj_);
     adjacency_valid_.store(true, std::memory_order_release);
   } else {
     adjacency_valid_.store(false, std::memory_order_release);
@@ -90,74 +206,96 @@ void TriangleMesh::build_adjacency() const {
   if (adjacency_valid_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(adjacency_mutex_);
   if (adjacency_valid_.load(std::memory_order_relaxed)) return;
-  nbr_.assign(verts_.size(), {});
-  vert_tris_.assign(verts_.size(), {});
-  edge_tris_.clear();
-  for (std::size_t ti = 0; ti < tris_.size(); ++ti) {
-    const Tri& t = tris_[ti];
-    for (int k = 0; k < 3; ++k) {
-      VertexId u = t[static_cast<std::size_t>(k)];
-      VertexId v = t[static_cast<std::size_t>((k + 1) % 3)];
-      ++edge_tris_[EdgeKey(u, v)];
-      vert_tris_[static_cast<std::size_t>(u)].push_back(static_cast<int>(ti));
-    }
+  const std::size_t nv = verts_.size();
+  Adjacency adj;
+  adj.vert_tris = vertex_incidence(tris_, nv);
+  EdgeIncidence inc = edge_incidence(tris_, nv);
+  adj.edges = std::move(inc.edges);
+  adj.edge_counts.resize(adj.edges.size());
+  for (std::size_t e = 0; e < adj.edges.size(); ++e) {
+    adj.edge_counts[e] = inc.count(static_cast<int>(e));
   }
-  for (const auto& [e, cnt] : edge_tris_) {
-    nbr_[static_cast<std::size_t>(e.a)].push_back(e.b);
-    nbr_[static_cast<std::size_t>(e.b)].push_back(e.a);
+
+  // Neighbours from the sorted edges: every (a, v) edge has a <= v and
+  // every (v, b) edge has b > v, so filling the smaller endpoints first,
+  // then the larger ones, leaves each list sorted.
+  adj.nbr_offsets.assign(nv + 1, 0);
+  for (const EdgeKey& e : adj.edges) {
+    ++adj.nbr_offsets[static_cast<std::size_t>(e.b) + 1];
+    if (e.a != e.b) ++adj.nbr_offsets[static_cast<std::size_t>(e.a) + 1];
   }
-  for (auto& list : nbr_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+  std::partial_sum(adj.nbr_offsets.begin(), adj.nbr_offsets.end(), adj.nbr_offsets.begin());
+  adj.nbr.resize(static_cast<std::size_t>(adj.nbr_offsets.back()));
+  adj.nbr_edges.resize(adj.nbr.size());
+  std::vector<int> fill(adj.nbr_offsets.begin(), adj.nbr_offsets.end() - 1);
+  auto push = [&](VertexId v, VertexId u, std::size_t e) {
+    const auto slot = static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++);
+    adj.nbr[slot] = u;
+    adj.nbr_edges[slot] = static_cast<int>(e);
+  };
+  for (std::size_t e = 0; e < adj.edges.size(); ++e) push(adj.edges[e].b, adj.edges[e].a, e);
+  for (std::size_t e = 0; e < adj.edges.size(); ++e) {
+    if (adj.edges[e].a != adj.edges[e].b) push(adj.edges[e].a, adj.edges[e].b, e);
   }
+  adj_ = std::move(adj);
   adjacency_valid_.store(true, std::memory_order_release);
 }
 
-const std::vector<VertexId>& TriangleMesh::neighbors(VertexId v) const {
+std::span<const VertexId> TriangleMesh::neighbors(VertexId v) const {
   build_adjacency();
-  return nbr_[static_cast<std::size_t>(v)];
+  const auto i = static_cast<std::size_t>(v);
+  return {adj_.nbr.data() + adj_.nbr_offsets[i],
+          static_cast<std::size_t>(adj_.nbr_offsets[i + 1] - adj_.nbr_offsets[i])};
+}
+
+int TriangleMesh::edge_id(VertexId u, VertexId v) const {
+  const auto i = static_cast<std::size_t>(u);
+  const auto first = adj_.nbr.begin() + adj_.nbr_offsets[i];
+  const auto last = adj_.nbr.begin() + adj_.nbr_offsets[i + 1];
+  const auto it = std::lower_bound(first, last, v);
+  if (it == last || *it != v) return -1;
+  return adj_.nbr_edges[static_cast<std::size_t>(it - adj_.nbr.begin())];
 }
 
 std::vector<EdgeKey> TriangleMesh::edges() const {
   build_adjacency();
-  std::vector<EdgeKey> out;
-  out.reserve(edge_tris_.size());
-  for (const auto& [e, cnt] : edge_tris_) out.push_back(e);
-  return out;
+  return adj_.edges;
 }
 
 int TriangleMesh::edge_triangle_count(VertexId u, VertexId v) const {
   build_adjacency();
-  auto it = edge_tris_.find(EdgeKey(u, v));
-  return it == edge_tris_.end() ? 0 : it->second;
+  const int e = edge_id(u, v);
+  return e < 0 ? 0 : adj_.edge_counts[static_cast<std::size_t>(e)];
 }
 
 std::vector<EdgeKey> TriangleMesh::boundary_edges() const {
   build_adjacency();
   std::vector<EdgeKey> out;
-  for (const auto& [e, cnt] : edge_tris_) {
-    if (cnt == 1) out.push_back(e);
+  for (std::size_t e = 0; e < adj_.edges.size(); ++e) {
+    if (adj_.edge_counts[e] == 1) out.push_back(adj_.edges[e]);
   }
   return out;
 }
 
 bool TriangleMesh::is_boundary_vertex(VertexId v) const {
   build_adjacency();
-  for (VertexId u : nbr_[static_cast<std::size_t>(v)]) {
-    auto it = edge_tris_.find(EdgeKey(v, u));
-    if (it != edge_tris_.end() && it->second == 1) return true;
+  const auto i = static_cast<std::size_t>(v);
+  for (int s = adj_.nbr_offsets[i]; s < adj_.nbr_offsets[i + 1]; ++s) {
+    if (adj_.edge_counts[static_cast<std::size_t>(adj_.nbr_edges[static_cast<std::size_t>(s)])] == 1) {
+      return true;
+    }
   }
   return false;
 }
 
-const std::vector<int>& TriangleMesh::vertex_triangles(VertexId v) const {
+std::span<const int> TriangleMesh::vertex_triangles(VertexId v) const {
   build_adjacency();
-  return vert_tris_[static_cast<std::size_t>(v)];
+  return adj_.vert_tris.triangles(v);
 }
 
 bool TriangleMesh::edge_manifold() const {
   build_adjacency();
-  for (const auto& [e, cnt] : edge_tris_) {
+  for (int cnt : adj_.edge_counts) {
     if (cnt > 2) return false;
   }
   return true;
@@ -166,36 +304,15 @@ bool TriangleMesh::edge_manifold() const {
 bool TriangleMesh::vertex_manifold() const {
   build_adjacency();
   if (!edge_manifold()) return false;
-  // A vertex is manifold when its incident triangles form one connected
-  // component under shared-edge adjacency.
+  // A vertex is manifold when its incident triangles form one fan. A
+  // triangle listed twice at v repeats v and is never manifold.
+  FanSplitter splitter(verts_.size());
+  std::vector<int> fan;
   for (std::size_t v = 0; v < verts_.size(); ++v) {
-    const auto& inc = vert_tris_[v];
+    const std::span<const int> inc = adj_.vert_tris.triangles(static_cast<VertexId>(v));
     if (inc.empty()) continue;
-    std::set<int> seen;
-    std::vector<int> stack{inc[0]};
-    seen.insert(inc[0]);
-    while (!stack.empty()) {
-      int ti = stack.back();
-      stack.pop_back();
-      const Tri& t = tris_[static_cast<std::size_t>(ti)];
-      for (int tj : inc) {
-        if (seen.count(tj)) continue;
-        const Tri& s = tris_[static_cast<std::size_t>(tj)];
-        // Shared edge through v: both triangles contain v and another
-        // common vertex.
-        int common = 0;
-        for (VertexId a : t) {
-          for (VertexId b : s) {
-            if (a == b) ++common;
-          }
-        }
-        if (common >= 2) {
-          seen.insert(tj);
-          stack.push_back(tj);
-        }
-      }
-    }
-    if (seen.size() != inc.size()) return false;
+    if (std::adjacent_find(inc.begin(), inc.end()) != inc.end()) return false;
+    if (splitter.split(tris_, static_cast<VertexId>(v), inc, fan) != 1) return false;
   }
   return true;
 }
@@ -206,9 +323,9 @@ int TriangleMesh::euler_characteristic() const {
   // are bookkeeping, not topology.
   int used = 0;
   for (std::size_t v = 0; v < verts_.size(); ++v) {
-    if (!vert_tris_[v].empty()) ++used;
+    if (!adj_.vert_tris.triangles(static_cast<VertexId>(v)).empty()) ++used;
   }
-  return used - static_cast<int>(edge_tris_.size()) +
+  return used - static_cast<int>(adj_.edges.size()) +
          static_cast<int>(tris_.size());
 }
 
@@ -230,6 +347,29 @@ void TriangleMesh::make_ccw() {
     }
   }
   if (changed) invalidate();
+}
+
+CompactedMesh compact_vertices(const TriangleMesh& mesh) {
+  CompactedMesh out;
+  out.old_to_new.assign(mesh.num_vertices(), -1);
+  std::vector<Vec2> verts;
+  std::vector<Tri> tris;
+  tris.reserve(mesh.num_triangles());
+  for (const Tri& t : mesh.triangles()) {
+    Tri nt{};
+    for (std::size_t k = 0; k < 3; ++k) {
+      int& slot = out.old_to_new[static_cast<std::size_t>(t[k])];
+      if (slot < 0) {
+        slot = static_cast<int>(verts.size());
+        verts.push_back(mesh.position(t[k]));
+        out.new_to_old.push_back(t[k]);
+      }
+      nt[k] = slot;
+    }
+    tris.push_back(nt);
+  }
+  out.mesh = TriangleMesh(std::move(verts), std::move(tris));
+  return out;
 }
 
 }  // namespace anr
