@@ -10,6 +10,10 @@
 //   - OverlapInterpolator::map_all at a fixed theta (pure warm-start) and
 //     across a theta sweep (the rotation-search access pattern), with and
 //     without caller-owned buffers;
+//   - the mesh kernels of steps 1-2 on the plan_swarm_4k deployment
+//     geometry: Delaunay construction, the whole T extraction (Delaunay,
+//     alpha filter, manifold cleanup, compaction) and one TriangleMesh
+//     adjacency build;
 //   - one full MarchPlanner::plan() with the connectivity-safe adjustment
 //     enabled.
 //
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "anr/anr.h"
+#include "march/stages.h"
 
 namespace {
 
@@ -371,6 +376,70 @@ BENCHMARK(BM_TerrainRouterSolveThreads)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// --- mesh kernels (steps 1-2) -----------------------------------------------
+// Scenario 1's M1 scaled to hold n lattice robots at the density of its
+// 144, each nudged by up to a tenth of the spacing: the plan_swarm_4k
+// deployment geometry (own jitter seed).
+
+std::vector<Vec2> jittered_lattice(int n) {
+  const Scenario sc = scenario(1);
+  const double s = std::sqrt(n / static_cast<double>(sc.num_robots));
+  const Vec2 c = sc.m1.centroid();
+  std::vector<Vec2> outer;
+  for (Vec2 q : sc.m1.outer().points()) outer.push_back(c + (q - c) * s);
+  const FieldOfInterest m1{Polygon(std::move(outer))};
+  double h = std::sqrt(2.0 * m1.area() / (std::sqrt(3.0) * n));
+  std::vector<Vec2> pts = m1.lattice_points(h);
+  for (int guard = 0; static_cast<int>(pts.size()) < n && guard < 64; ++guard) {
+    h *= 0.97;
+    pts = m1.lattice_points(h);
+  }
+  pts.resize(static_cast<std::size_t>(n));
+  Rng rng(41);
+  for (Vec2& p : pts) {
+    const double a = rng.uniform(0.0, 2.0 * M_PI);
+    const double r = 0.1 * h * std::sqrt(rng.uniform(0.0, 1.0));
+    const Vec2 q = p + Vec2{r * std::cos(a), r * std::sin(a)};
+    if (m1.contains(q)) p = q;
+  }
+  return pts;
+}
+
+void BM_Delaunay(benchmark::State& state) {
+  const std::vector<Vec2> pts = jittered_lattice(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(delaunay(pts));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_Delaunay)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// Step 1 as the planner runs it, minus the stats: Delaunay, the r_c
+// filter, the manifold cleanup and the compaction to the meshed robots.
+void BM_ExtractT(benchmark::State& state) {
+  const std::vector<Vec2> pts = jittered_lattice(static_cast<int>(state.range(0)));
+  const double r_c = scenario(1).comm_range;
+  for (auto _ : state) {
+    const ExtractionResult ext = extract_triangulation(pts, r_c);
+    benchmark::DoNotOptimize(compact_t(ext.mesh));
+  }
+}
+BENCHMARK(BM_ExtractT)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// One lazy adjacency build of the extracted T (neighbours, vertex and
+// edge incidence), after the edit that invalidates it.
+void BM_MeshAdjacency(benchmark::State& state) {
+  const std::vector<Vec2> pts = jittered_lattice(static_cast<int>(state.range(0)));
+  TriangleMesh mesh = extract_triangulation(pts, scenario(1).comm_range).mesh;
+  const std::vector<Tri> tris = mesh.triangles();
+  for (auto _ : state) {
+    mesh.set_triangles(tris);
+    mesh.build_adjacency();
+    benchmark::DoNotOptimize(mesh.neighbors(0).size());
+  }
+}
+BENCHMARK(BM_MeshAdjacency)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 // --- full plan -------------------------------------------------------------
 
