@@ -56,13 +56,15 @@ AlphaExtraction clean_to_manifold(TriangleMesh mesh) {
     auto [comp, sizes] = triangle_components(tris, nv);
     const int largest = static_cast<int>(
         std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-    std::vector<char> keep(tris.size());
-    for (std::size_t ti = 0; ti < tris.size(); ++ti) keep[ti] = comp[ti] == largest;
-    const bool dropped_component =
-        sizes[static_cast<std::size_t>(largest)] != static_cast<int>(tris.size());
+    std::vector<Tri> kept;
+    kept.reserve(tris.size());
+    for (std::size_t ti = 0; ti < tris.size(); ++ti) {
+      if (comp[ti] == largest) kept.push_back(tris[ti]);
+    }
+    tris = std::move(kept);
 
-    // Fans over the kept component, all judged on the same triangle set.
-    const VertexIncidence vinc = vertex_incidence(tris, nv, &keep);
+    // Bowtie fans, all judged on the same triangle set.
+    const VertexIncidence vinc = vertex_incidence(tris, nv);
     std::vector<char> drop(tris.size(), 0);
     bool dropped_fan = false;
     for (std::size_t v = 0; v < nv; ++v) {
@@ -79,15 +81,13 @@ AlphaExtraction clean_to_manifold(TriangleMesh mesh) {
       }
       dropped_fan = true;
     }
-    if (!dropped_fan && !dropped_component) break;  // already clean
+    // One component without bowties: a further pass would change nothing.
+    if (!dropped_fan) break;
     std::size_t out = 0;
     for (std::size_t ti = 0; ti < tris.size(); ++ti) {
-      if (keep[ti] && !drop[ti]) tris[out++] = tris[ti];
+      if (!drop[ti]) tris[out++] = tris[ti];
     }
     tris.resize(out);
-    // Dropping only other components leaves one bowtie-free component:
-    // the next pass would change nothing.
-    if (!dropped_fan) break;
   }
   mesh.set_triangles(std::move(tris));
   ANR_CHECK_MSG(mesh.vertex_manifold(), "cleanup failed to reach manifold");

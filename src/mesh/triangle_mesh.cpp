@@ -68,20 +68,16 @@ EdgeIncidence edge_incidence(const std::vector<Tri>& tris, std::size_t num_verti
   return out;
 }
 
-VertexIncidence vertex_incidence(const std::vector<Tri>& tris, std::size_t num_vertices,
-                                 const std::vector<char>* keep) {
+VertexIncidence vertex_incidence(const std::vector<Tri>& tris, std::size_t num_vertices) {
   VertexIncidence out;
   out.offsets.assign(num_vertices + 1, 0);
-  auto kept = [&](std::size_t ti) { return keep == nullptr || (*keep)[ti] != 0; };
-  for (std::size_t ti = 0; ti < tris.size(); ++ti) {
-    if (!kept(ti)) continue;
-    for (VertexId v : tris[ti]) ++out.offsets[static_cast<std::size_t>(v) + 1];
+  for (const Tri& t : tris) {
+    for (VertexId v : t) ++out.offsets[static_cast<std::size_t>(v) + 1];
   }
   std::partial_sum(out.offsets.begin(), out.offsets.end(), out.offsets.begin());
   out.tris.resize(static_cast<std::size_t>(out.offsets.back()));
   std::vector<int> fill(out.offsets.begin(), out.offsets.end() - 1);
   for (std::size_t ti = 0; ti < tris.size(); ++ti) {
-    if (!kept(ti)) continue;
     for (VertexId v : tris[ti]) {
       out.tris[static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++)] =
           static_cast<int>(ti);

@@ -67,10 +67,8 @@ struct VertexIncidence {
   }
 };
 
-/// Incidence of the triangles of `tris` for which `keep` is null or
-/// nonzero; vertex ids are below `num_vertices`.
-VertexIncidence vertex_incidence(const std::vector<Tri>& tris, std::size_t num_vertices,
-                                 const std::vector<char>* keep = nullptr);
+/// Incidence of `tris`, whose vertex ids are below `num_vertices`.
+VertexIncidence vertex_incidence(const std::vector<Tri>& tris, std::size_t num_vertices);
 
 /// Splits the triangles around one vertex into fans: two triangles at v
 /// are in one fan when a chain of triangles sharing an edge through v links
@@ -90,7 +88,7 @@ class FanSplitter {
   int find(int i);
 
   std::vector<int> seen_;     // per vertex w: the split() call that last saw w
-  std::vector<int> first_;    // per vertex w: first triangle at v holding w
+  std::vector<int> first_;    // per vertex w: index in inc of the first triangle holding w
   std::vector<int> parent_;   // union-find over the triangles at v
   std::vector<int> label_;    // per fan root: its fan id
   int round_ = 0;
