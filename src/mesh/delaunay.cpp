@@ -90,7 +90,7 @@ class Builder {
     side_ = std::max(1, static_cast<int>(std::sqrt(static_cast<double>(n) / 2.0)));
     hint_.assign(static_cast<std::size_t>(side_) * static_cast<std::size_t>(side_), -1);
 
-    // Serpentine insertion of a 4096-robot lattice creates about 11
+    // Serpentine insertion of a 4096-robot lattice creates about 10
     // triangles per point; pages of the reserve left unused are never
     // touched.
     tris_.reserve(12 * n + 16);

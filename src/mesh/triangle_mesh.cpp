@@ -42,19 +42,11 @@ EdgeIncidence edge_incidence(const std::vector<Tri>& tris, std::size_t num_verti
   for (std::size_t a = 0; a < num_vertices; ++a) {
     auto first = sides.begin() + start[a];
     auto last = sides.begin() + start[a + 1];
-    // Sides arrive in triangle order, so a stable sort keeps each edge's
-    // triangles ascending. Buckets hold a handful of sides: insertion sort.
-    auto by_b = [](const Side& x, const Side& y) { return x.b < y.b; };
-    if (last - first > 32) {
-      std::stable_sort(first, last, by_b);
-    } else {
-      for (auto it = first; it != last; ++it) {
-        const Side cur = *it;
-        auto hole = it;
-        for (; hole != first && by_b(cur, *(hole - 1)); --hole) *hole = *(hole - 1);
-        *hole = cur;
-      }
-    }
+    // Slots grow with the triangle id, so each edge's triangles come out
+    // ascending.
+    std::sort(first, last, [](const Side& x, const Side& y) {
+      return x.b != y.b ? x.b < y.b : x.slot < y.slot;
+    });
     for (auto it = first; it != last; ++it) {
       if (it == first || it->b != (it - 1)->b) {
         if (it != first) out.offsets.push_back(static_cast<int>(out.tris.size()));

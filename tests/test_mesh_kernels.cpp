@@ -1,5 +1,5 @@
 // Mesh kernels behind steps 1-2 (Delaunay, TriangleMesh adjacency,
-// manifold cleanup, boundary loops, T compaction): byte goldens on four
+// manifold cleanup, boundary loops, T compaction): byte goldens on five
 // point sets, and brute-force oracles over random triangle soups.
 //
 // The goldens pin the exact triangle lists, so any change to insertion
@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
