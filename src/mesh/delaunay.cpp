@@ -42,8 +42,8 @@ int edge_slot(const Tri& t, VertexId a, VertexId b) {
   return -1;
 }
 
-// One cavity boundary edge: the dead triangle inside it and the alive
-// triangle outside (-1 on the hull of the super triangle).
+// One cavity boundary edge and the alive triangle outside it (-1 on the
+// hull of the super triangle).
 struct CavityEdge {
   EdgeKey e;
   int outside;
