@@ -476,12 +476,14 @@ void MarchPlanner::build_transitions(PlanContext& ctx) const {
   const std::vector<Polygon>& keep_out = opt_.trajectory.terrain.keep_out;
   ctx.guarded_obstacles = ctx.obstacles;
   for (const Polygon& ko : keep_out) ctx.guarded_obstacles.push_back(ko);
+  // Geodesic waypoints in the cost metric, extracted in parallel over
+  // robots; each leg still honors the FoI hole detours. Unroutable robots
+  // fall back to the straight segment (typed, counted below) detoured
+  // around keep-out.
+  const std::vector<TerrainRoute> routes = ctx.router->route_all(targets);
   plan.trajectories.reserve(positions.size());
   for (std::size_t r = 0; r < positions.size(); ++r) {
-    // Geodesic waypoints in the cost metric; each leg still honors the
-    // FoI hole detours. Unroutable robots fall back to the straight
-    // segment (typed, counted below) detoured around keep-out.
-    TerrainRoute rt = ctx.router->route(static_cast<int>(r), targets[r]);
+    const TerrainRoute& rt = routes[r];
     if (rt.geodesic) {
       plan.trajectories.push_back(make_timed_path_via(
           rt.points, 0.0, opt_.transition_time, ctx.obstacles));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "common/check.h"
 #include "common/task_arena.h"
@@ -41,11 +43,14 @@ void TerrainRouter::solve(const std::vector<Vec2>& starts) {
   fields_.resize(starts.size());
   // One independent sequential solve per robot; each chunk writes only its
   // own result slots, so the fields are byte-identical at any thread count.
-  parallel_chunks(starts.size(), 1,
+  // A chunk of a few robots shares one solver scratch.
+  constexpr std::size_t kRobotsPerChunk = 4;
+  parallel_chunks(starts.size(), kRobotsPerChunk,
                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                    FastMarchScratch scratch;
                     for (std::size_t r = begin; r < end; ++r) {
                       if (field_.contains(starts_[r])) {
-                        fields_[r] = fast_march(field_, starts_[r]);
+                        fields_[r] = fast_march(field_, starts_[r], scratch);
                       } else {
                         fields_[r].source_blocked = true;
                       }
@@ -114,16 +119,34 @@ Vec2 TerrainRouter::unblocked_target(Vec2 goal, bool* snapped) {
 }
 
 TerrainRoute TerrainRouter::route(int r, Vec2 goal) {
+  TerrainRoute out = extract(r, goal);
+  tally(out);
+  return out;
+}
+
+std::vector<TerrainRoute> TerrainRouter::route_all(
+    const std::vector<Vec2>& goals) {
+  ANR_CHECK(goals.size() == starts_.size());
+  std::vector<TerrainRoute> routes(goals.size());
+  parallel_chunks(goals.size(), 1,
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t r = begin; r < end; ++r) {
+                      routes[r] = extract(static_cast<int>(r), goals[r]);
+                    }
+                  });
+  for (const TerrainRoute& rt : routes) tally(rt);
+  return routes;
+}
+
+TerrainRoute TerrainRouter::extract(int r, Vec2 goal) const {
   const std::size_t ur = static_cast<std::size_t>(r);
   ANR_CHECK(ur < starts_.size());
   TerrainRoute out;
   const Vec2 start = starts_[ur];
-  auto fallback = [&](const char* reason, int* tally) {
+  auto fallback = [&](const char* reason) {
     out.points = {start, goal};
     out.geodesic = false;
     out.fallback = reason;
-    ++stats_.fallbacks;
-    ++*tally;
     return out;
   };
   if (field_.uniform()) {
@@ -131,23 +154,34 @@ TerrainRoute TerrainRouter::route(int r, Vec2 goal) {
     return out;  // straight IS the geodesic; not a degradation
   }
   if (!field_.contains(start) || !field_.contains(goal)) {
-    return fallback("out_of_domain", &stats_.fb_out_of_domain);
+    return fallback("out_of_domain");
   }
   ANR_CHECK(ur < fields_.size());
   const FastMarchResult& fm = fields_[ur];
-  if (fm.source_blocked) {
-    return fallback("blocked_start", &stats_.fb_blocked_start);
-  }
+  if (fm.source_blocked) return fallback("blocked_start");
   GeodesicPath gp = extract_geodesic(field_, fm, start, goal);
   if (!gp.ok) {
-    if (gp.failure == "stuck_descent") {
-      return fallback("stuck_descent", &stats_.fb_stuck_descent);
-    }
-    return fallback("unreachable", &stats_.fb_unreachable);
+    return fallback(gp.failure == "stuck_descent" ? "stuck_descent"
+                                                  : "unreachable");
   }
   out.points = std::move(gp.points);
   out.geodesic = true;
   return out;
+}
+
+void TerrainRouter::tally(const TerrainRoute& route) {
+  if (route.fallback == nullptr) return;
+  ++stats_.fallbacks;
+  const std::string_view reason = route.fallback;
+  if (reason == "blocked_start") {
+    ++stats_.fb_blocked_start;
+  } else if (reason == "unreachable") {
+    ++stats_.fb_unreachable;
+  } else if (reason == "stuck_descent") {
+    ++stats_.fb_stuck_descent;
+  } else {
+    ++stats_.fb_out_of_domain;
+  }
 }
 
 bool TerrainRouter::segment_blocked(Vec2 a, Vec2 b) const {

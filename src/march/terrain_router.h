@@ -6,7 +6,8 @@
 // output, so the fields are byte-identical at any thread count), travel
 // times and path-length bounds for the rotation search, keep-out-aware
 // target snapping, and geodesic waypoint extraction with a typed
-// straight-line degradation path.
+// straight-line degradation path (also parallel over robots, tallied in
+// robot order afterwards).
 //
 // Uniform-field contract: when the rasterized cost field is uniform (no
 // keep-out cells, a single cost value), geodesics ARE straight lines and
@@ -104,6 +105,12 @@ class TerrainRouter {
   /// reason. Tallies into stats().
   TerrainRoute route(int r, Vec2 goal);
 
+  /// route(r, goals[r]) for every robot, extracted in parallel over
+  /// robots and tallied into stats() in robot order: the same routes and
+  /// stats as the serial loop, at any thread count. Requires one goal per
+  /// start.
+  std::vector<TerrainRoute> route_all(const std::vector<Vec2>& goals);
+
   /// True when segment a->b crosses a keep-out cell (false when either
   /// endpoint is outside the field — nothing to assess there).
   bool segment_blocked(Vec2 a, Vec2 b) const;
@@ -112,6 +119,9 @@ class TerrainRouter {
   const std::vector<FastMarchResult>& fields() const { return fields_; }
 
  private:
+  TerrainRoute extract(int r, Vec2 goal) const;  // route() without the tally
+  void tally(const TerrainRoute& route);
+
   CostField field_;
   std::vector<Vec2> starts_;
   std::vector<FastMarchResult> fields_;
