@@ -15,7 +15,7 @@
 //     alpha filter, manifold cleanup, compaction) and one TriangleMesh
 //     adjacency build;
 //   - one full MarchPlanner::plan() with the connectivity-safe adjustment
-//     enabled.
+//     enabled, and one geodesic plan over the plan_terrain cost field.
 //
 // Baseline workflow: scripts/bench_check.sh runs this with
 // --benchmark_format=json and diffs against BENCH_hotpath.json (±25%).
@@ -459,6 +459,48 @@ void BM_FullPlanWithAdjustment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullPlanWithAdjustment)->Unit(benchmark::kMillisecond);
+
+// One geodesic plan as perfbench's plan_terrain runs it: 144 robots of
+// scenario 1 marched 12 r_c over rolling hills, a mud patch and a
+// keep-out block in the corridor, at 2 arena threads. Per-robot fast
+// marching, geodesic extraction and the transition guard run only here.
+void BM_FullPlanTerrain(benchmark::State& state) {
+  const Scenario sc = scenario(1);
+  const double rc = sc.comm_range;
+  const Vec2 offset =
+      sc.m1.centroid() + Vec2{12.0 * rc, 0.0} - sc.m2_shape.centroid();
+  const FieldOfInterest m2_world = sc.m2_shape.translated(offset);
+  BBox hills = sc.m1.bbox();
+  hills.expand(m2_world.bbox().lo);
+  hills.expand(m2_world.bbox().hi);
+  const Vec2 mid = lerp(sc.m1.centroid(), m2_world.centroid(), 0.5);
+  PlannerOptions opt;
+  opt.mesher.target_grid_points = 350;
+  opt.cvt_samples = 4000;
+  opt.max_adjust_steps = 5;
+  opt.trajectory.motion = MotionModel::kTerrainGeodesic;
+  TerrainCostOptions& t = opt.trajectory.terrain;
+  t.terrain = HeightField::rolling(hills, 10, 35.0, 160.0, 99);
+  t.slope_weight = 2.5;
+  t.uphill_penalty = 0.4;
+  t.mud.push_back(MudPatch{{mid.x, mid.y + 2.0 * rc}, 90.0, 3.0});
+  t.keep_out.push_back(make_rect({mid.x - rc, mid.y - 0.75 * rc},
+                                 {mid.x + rc, mid.y + 0.75 * rc}));
+  MarchPlanner planner(sc.m1, sc.m2_shape, rc, opt);
+  const auto deploy = optimal_coverage_positions(sc.m1, sc.num_robots, 10,
+                                                 uniform_density())
+                          .positions;
+  set_arena_threads(2);
+  int solves = 0;
+  for (auto _ : state) {
+    const MarchPlan plan = planner.plan(deploy, offset);
+    solves = plan.fmm_solves;
+    benchmark::DoNotOptimize(plan.trajectories.data());
+  }
+  set_arena_threads(0);
+  state.counters["fmm_solves"] = solves;
+}
+BENCHMARK(BM_FullPlanTerrain)->Unit(benchmark::kMillisecond);
 
 // --- observability overhead -------------------------------------------------
 // The "<2% overhead" contract of src/obs: the same full plan against a
