@@ -313,22 +313,7 @@ RateRow run_rate(const BenchSettings& s, const std::vector<LoadConfig>& mix,
   ao.queue_capacity = queue_per_shard * static_cast<std::size_t>(s.shards);
   ao.registry = &registry;
   runtime::AdmissionController controller(ao);
-  for (int i = 0; i < s.shards; ++i) {
-    controller.watch(registry.histogram("anr_job_e2e_full_seconds",
-                                        {{"shard", std::to_string(i)}}));
-  }
-  runtime::GatewayBackend backend;
-  backend.submit = [&](runtime::PlanJob job) {
-    return service.submit(std::move(job));
-  };
-  backend.queue_depth = [&]() -> std::size_t {
-    std::size_t total = 0;
-    for (int i = 0; i < s.shards; ++i) {
-      total += service.shard_service(i).queue_depth();
-    }
-    return total;
-  };
-  runtime::ServingGateway gateway(std::move(backend), &controller,
+  runtime::ServingGateway gateway(service.gateway_backend(), &controller,
                                   /*refresh_every=*/16);
 
   row.offered = std::min<std::uint64_t>(

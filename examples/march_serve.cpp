@@ -54,11 +54,13 @@
 //   --listen PATH  serve framed requests on a unix socket at PATH,
 //                  one connection at a time, until terminated
 //   --slo S        streaming admission SLO: target p99 end-to-end
-//                  latency for full-service jobs, seconds (default 1.0)
+//                  latency over every shard's full-service jobs, seconds
+//                  (default 1.0)
 //   --shed-pressure X / --reject-pressure Y
 //                  admission thresholds over pressure =
-//                  max(queue occupancy, p99/SLO); shed at X (default
-//                  0.75), reject at Y (default 1.5)
+//                  max(queue occupancy, p99/SLO), where occupancy is the
+//                  fullest live shard's queue depth over --queue; shed
+//                  at X (default 0.75), reject at Y (default 1.5)
 //
 // Example (sharded, with a mid-batch kill drill):
 //   ./build/examples/march_serve --shards 4 --threads 1 --kill-shard 2@5
@@ -325,9 +327,7 @@ int main(int argc, char** argv) {
   std::istream& in = opt.input.empty() ? std::cin : file;
 
   obs::Registry registry;
-  // Streaming always wires the registry: the admission controller reads
-  // its latency histograms even when no --metrics file is requested.
-  if (!opt.metrics.empty() || streaming) opt.service.registry = &registry;
+  if (!opt.metrics.empty()) opt.service.registry = &registry;
 
   // One front door: every submission goes through the consistent-hash
   // router, which without --shards fronts a single shard.
@@ -375,8 +375,8 @@ int main(int argc, char** argv) {
   }).detach();
 
   if (streaming) {
-    // Admission-controlled streaming: controller watches the
-    // full-service latency histograms the service(s) registered above.
+    // Admission-controlled streaming through the router's own gateway
+    // backend (latency watch and fullest-shard pressure probe).
     runtime::AdmissionOptions ao;
     ao.slo_seconds = opt.slo;
     ao.shed_pressure = opt.shed_pressure;
@@ -385,22 +385,7 @@ int main(int argc, char** argv) {
                         static_cast<std::size_t>(service.shard_count());
     ao.registry = &registry;
     runtime::AdmissionController controller(ao);
-    for (int i = 0; i < service.shard_count(); ++i) {
-      controller.watch(registry.histogram("anr_job_e2e_full_seconds",
-                                          {{"shard", std::to_string(i)}}));
-    }
-    runtime::GatewayBackend backend;
-    backend.submit = [&](runtime::PlanJob job) {
-      return service.submit(std::move(job));
-    };
-    backend.queue_depth = [&]() -> std::size_t {
-      std::size_t total = 0;
-      for (int i = 0; i < service.shard_count(); ++i) {
-        total += service.shard_service(i).queue_depth();
-      }
-      return total;
-    };
-    runtime::ServingGateway gateway(std::move(backend), &controller);
+    runtime::ServingGateway gateway(service.gateway_backend(), &controller);
     runtime::StreamFrontend frontend(&gateway);
 
     auto report = [&](const runtime::StreamStats& ss) {

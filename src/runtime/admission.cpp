@@ -143,6 +143,7 @@ ServingGateway::ServingGateway(GatewayBackend backend,
   ANR_CHECK_MSG(static_cast<bool>(backend_.submit),
                 "gateway backend needs a submit function");
   if (backend_.queue_depth) ctrl_->set_queue_probe(backend_.queue_depth);
+  for (const obs::Histogram* h : backend_.latency) ctrl_->watch(h);
 }
 
 std::future<JobResult> ServingGateway::submit(PlanJob job,

@@ -12,6 +12,18 @@
 // the returned future immediately with a rejection (kReject) — pick
 // reject for latency-sensitive front ends that would rather shed load.
 //
+// Every full-service job plans once through MarchPlanner::plan_robust():
+// primary pipeline, relaxed extraction, Hungarian baseline. The chain is a
+// pure function of the job and its cached planner, so a job whose three
+// attempts all fail resolves kError at once; repeating the chain could
+// only fail the same way.
+//
+// Deadlines: a job with deadline_seconds > 0 that is still queued when
+// its deadline passes resolves kDeadlineExpired without planning. A
+// watchdog thread sleeps until the earliest queued deadline (with none
+// queued, until a job with one arrives); a worker that picks up an
+// already expired job resolves it the same way.
+//
 // Shutdown is graceful: shutdown() stops intake, lets the workers drain
 // every job already accepted, and joins. The destructor does the same.
 //
@@ -69,14 +81,6 @@ struct ServiceOptions {
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Planner cache capacity (distinct configurations held).
   std::size_t cache_capacity = 64;
-  /// Additional planning attempts after a planner error (bounded retry).
-  int max_retries = 1;
-  /// Plan through MarchPlanner::plan_robust() — degraded fallback chain
-  /// and typed errors instead of exceptions. Disable to reproduce the
-  /// strict throw-on-anything planner behavior.
-  bool degraded_fallback = true;
-  /// How often the deadline watchdog sweeps the queue.
-  double watchdog_period_seconds = 0.01;
   /// Metrics sink. When set, the service exports job counters by final
   /// status (anr_jobs_total{status=...}), a queue-depth gauge, submit-to-
   /// resolution, queue-wait, planner-build and plan latency histograms,
@@ -102,7 +106,7 @@ enum class JobStatus {
   kRejectedShutdown,  ///< submitted after shutdown()
   kRejectedOverload,  ///< refused by SLO-driven admission control
   kDeadlineExpired,   ///< spent longer than its deadline in the queue
-  kError,             ///< every planning attempt failed
+  kError,             ///< every plan_robust() attempt failed
 };
 
 /// Stable lowercase name ("ok", "rejected_invalid", ...).
@@ -142,9 +146,8 @@ struct JobResult {
   JobStatus status = JobStatus::kError;
   std::string error;             ///< set when !ok
   MarchPlan plan;                ///< valid when ok
-  /// Fallback-chain record when the service planned via plan_robust().
+  /// plan_robust()'s fallback-chain record (every attempt, in order).
   DegradationRecord degradation;
-  int retries = 0;               ///< extra planning attempts consumed
   bool cache_hit = false;        ///< planner came from the cache
   double queue_seconds = 0.0;    ///< time spent waiting in the queue
   /// Time inside the cache lookup: the construction itself for the job
@@ -171,8 +174,7 @@ struct ServiceStats {
   std::uint64_t rejected_queue_full = 0;///< shed by kReject backpressure
   std::uint64_t rejected_invalid = 0;   ///< failed submit() validation
   std::uint64_t rejected_shutdown = 0;  ///< submitted after shutdown()
-  std::uint64_t deadline_expired = 0;   ///< reaped by the queue watchdog
-  std::uint64_t retried = 0;            ///< extra planning attempts
+  std::uint64_t deadline_expired = 0;   ///< queued past their deadline
   std::uint64_t handoffs = 0;           ///< jobs accepted via submit_pending
   std::size_t queue_depth = 0;
   std::size_t queue_high_water = 0;
@@ -210,7 +212,7 @@ class MissionService {
   /// Enqueues a job. The future always resolves (never broken), and
   /// JobResult::status says how: planned (kOk/kDegraded), typed rejection
   /// (invalid input, queue full under kReject, post-shutdown submit),
-  /// deadline expiry, or kError after the bounded retries ran out.
+  /// deadline expiry, or kError when every plan_robust() attempt failed.
   /// Input validation happens here, synchronously: malformed jobs
   /// (empty swarm, non-finite positions/offset, r_c <= 0, negative
   /// deadline) never reach a worker.
@@ -245,6 +247,10 @@ class MissionService {
   std::size_t queue_depth() const;
   std::size_t queue_capacity() const { return opt_.queue_capacity; }
 
+  /// Submit-to-resolution latency of full-service jobs
+  /// (anr_job_e2e_full_seconds): the admission controller's SLO signal.
+  const obs::Histogram* full_latency() const { return ins_.e2e_full_seconds; }
+
   /// Blocks until the queue is empty and no worker is executing a job.
   /// Only guaranteed to terminate once new submissions stop arriving.
   void wait_idle() const;
@@ -257,6 +263,11 @@ class MissionService {
 
   void worker_loop();
   void watchdog_loop();
+  /// Appends a job under the held lock, releases it, then wakes a worker
+  /// (and the watchdog, when the job has a deadline).
+  void enqueue(QueuedJob&& job, std::unique_lock<std::mutex>& lock);
+  /// Resolves a job that waited `waited` seconds, past its deadline.
+  void expire(QueuedJob& job, double waited);
   /// Decrements the active-job count and signals idle waiters.
   void finish_active();
   JobResult execute(PlanJob&& job, double queue_seconds);
@@ -273,7 +284,6 @@ class MissionService {
   struct Instruments {
     obs::Gauge* queue_depth = nullptr;
     obs::Counter* submitted = nullptr;
-    obs::Counter* retried = nullptr;
     obs::Counter* by_status[8] = {};  ///< indexed by JobStatus
     obs::Histogram* e2e_seconds = nullptr;
     obs::Histogram* e2e_full_seconds = nullptr;  ///< full-level jobs only
@@ -291,7 +301,7 @@ class MissionService {
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_push_cv_;  ///< waits for space (kBlock)
   std::condition_variable queue_pop_cv_;   ///< workers wait for jobs
-  std::condition_variable watchdog_cv_;    ///< wakes the watchdog early
+  std::condition_variable watchdog_cv_;    ///< a deadline queued, or shutdown
   mutable std::condition_variable idle_cv_;  ///< queue empty + no active job
   std::deque<QueuedJob> queue_;
   bool accepting_ = true;
@@ -310,7 +320,6 @@ class MissionService {
   std::atomic<std::uint64_t> rejected_invalid_{0};
   std::atomic<std::uint64_t> rejected_shutdown_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> retried_{0};
   std::atomic<std::uint64_t> handoffs_{0};
   Instruments ins_;
 

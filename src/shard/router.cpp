@@ -1,5 +1,6 @@
 #include "shard/router.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -204,6 +205,24 @@ std::vector<runtime::JobResult> ShardedMissionService::run_batch(
   results.reserve(futures.size());
   for (auto& f : futures) results.push_back(f.get());
   return results;
+}
+
+runtime::GatewayBackend ShardedMissionService::gateway_backend() {
+  runtime::GatewayBackend backend;
+  backend.submit = [this](runtime::PlanJob job) {
+    return submit(std::move(job));
+  };
+  backend.queue_depth = [this] {
+    std::size_t fullest = 0;
+    for (int i = 0; i < shard_count(); ++i) {
+      if (map_.state(i) != ShardState::kUp) continue;
+      fullest = std::max(
+          fullest, services_[static_cast<std::size_t>(i)]->queue_depth());
+    }
+    return fullest * services_.size();
+  };
+  for (const auto& s : services_) backend.latency.push_back(s->full_latency());
+  return backend;
 }
 
 void ShardedMissionService::handoff_locked(int from) {
