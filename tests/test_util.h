@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "foi/foi.h"
 #include "geom/polygon.h"
 #include "geom/vec2.h"
+#include "runtime/mission_service.h"
 
 namespace anr::testutil {
 
@@ -26,6 +28,18 @@ inline std::vector<Vec2> random_points(int n, double lo, double hi,
     pts.push_back({rng.uniform(lo, hi), rng.uniform(lo, hi)});
   }
   return pts;
+}
+
+/// `job` with a density closure that blocks until `open` is ready: its
+/// planner build holds a service worker for as long as the test needs.
+inline runtime::PlanJob gated_job(runtime::PlanJob job,
+                                  std::shared_future<void> open) {
+  job.options.density = [open](Vec2) {
+    open.wait();
+    return 1.0;
+  };
+  job.closure_tag = "gated";
+  return job;
 }
 
 /// Unit square FoI scaled to side `s`.
