@@ -41,9 +41,8 @@ bool FieldOfInterest::contains(Vec2 p) const {
   if (!outer_.contains(p)) return false;
   for (const Polygon& h : holes_) {
     // A point on the hole boundary is placeable; strictly-inside points
-    // are not. Polygon::contains treats boundary as inside, so check the
-    // boundary tolerance explicitly.
-    if (h.contains(p) && h.boundary_distance(p) > 1e-9) return false;
+    // are not.
+    if (h.strictly_contains(p)) return false;
   }
   return true;
 }
@@ -97,10 +96,7 @@ bool FieldOfInterest::segment_inside(Vec2 a, Vec2 b) const {
     // Fully-contained chord across a convex hole has no boundary crossing
     // only if both endpoints are inside the hole, which contains() already
     // rejected; midpoints guard concave holes hugging the segment.
-    if (h.contains(lerp(a, b, 0.5)) &&
-        h.boundary_distance(lerp(a, b, 0.5)) > 1e-9) {
-      return false;
-    }
+    if (h.strictly_contains(lerp(a, b, 0.5))) return false;
   }
   return true;
 }
@@ -115,19 +111,96 @@ Vec2 FieldOfInterest::sample_point(Rng& rng) const {
   return {};
 }
 
+namespace {
+
+// Lowers dist[k] to the distance from lattice point (xs[k], y) to edge
+// (a, b) for every point inside the edge's box grown by `pad`; the row's
+// xs are nondecreasing, so those points are one run.
+void lower_to_edge(Vec2 a, Vec2 b, double pad, double y,
+                   const std::vector<double>& xs, std::vector<double>& dist) {
+  const BBox box = padded_edge_box(a, b, pad);
+  if (!(y >= box.lo.y && y <= box.hi.y)) return;
+  for (std::size_t k = static_cast<std::size_t>(
+           std::lower_bound(xs.begin(), xs.end(), box.lo.x) - xs.begin());
+       k < xs.size() && xs[k] <= box.hi.x; ++k) {
+    dist[k] = std::min(dist[k], point_segment_distance({xs[k], y}, Segment{a, b}));
+  }
+}
+
+template <typename F>
+void for_each_edge(const Polygon& loop, F&& f) {
+  const std::vector<Vec2>& pts = loop.points();
+  for (std::size_t i = 0, j = pts.size() - 1; i < pts.size(); j = i++) {
+    f(pts[j], pts[i]);
+  }
+}
+
+}  // namespace
+
 std::vector<Vec2> FieldOfInterest::lattice_points(double h, double margin) const {
   ANR_CHECK(h > 0.0);
   std::vector<Vec2> out;
   BBox bb = bbox();
   double row_h = h * std::sqrt(3.0) / 2.0;
+  // Scanline fill: each row's points get, per loop, Polygon::probe's
+  // answer from the row's sorted edge crossings (the parity is that of
+  // the crossings right of the point) and from the edges whose padded box
+  // meets the row (the near-edge distance). Every coordinate is stepped
+  // exactly as a per-point loop would, so every output byte matches it.
+  std::vector<double> xs, cross, near, margin_dist;
+  std::vector<char> keep;
+  auto probe_row = [&](const Polygon& loop, double y) {
+    cross.clear();
+    near.assign(xs.size(), 1e300);
+    for_each_edge(loop, [&](Vec2 a, Vec2 b) {
+      if ((b.y > y) != (a.y > y)) {
+        const double x = edge_crossing_x(a, b, y);
+        if (!std::isnan(x)) cross.push_back(x);  // NaN never counts
+      }
+      lower_to_edge(a, b, kEdgeBoxPad, y, xs, near);
+    });
+    std::sort(cross.begin(), cross.end());
+  };
+  // Calls f(k, parity) for every point of the row, walking the crossings.
+  auto for_each_parity = [&](auto&& f) {
+    std::size_t c = 0;
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      while (c < cross.size() && cross[c] <= xs[k]) ++c;
+      f(k, (cross.size() - c) % 2 == 1);
+    }
+  };
   int row = 0;
   for (double y = bb.lo.y; y <= bb.hi.y; y += row_h, ++row) {
     double x0 = bb.lo.x + (row % 2 == 0 ? 0.0 : h / 2.0);
-    for (double x = x0; x <= bb.hi.x; x += h) {
-      Vec2 p{x, y};
-      if (!contains(p)) continue;
-      if (margin > 0.0 && distance_to_boundary(p) < margin) continue;
-      out.push_back(p);
+    xs.clear();
+    for (double x = x0; x <= bb.hi.x; x += h) xs.push_back(x);
+    keep.assign(xs.size(), 0);
+    probe_row(outer_, y);
+    for_each_parity([&](std::size_t k, bool parity) {
+      keep[k] = near[k] < kBoundaryTolerance || parity;
+    });
+    for (const Polygon& hole : holes_) {
+      probe_row(hole, y);
+      for_each_parity([&](std::size_t k, bool parity) {
+        if (parity && near[k] > kBoundaryTolerance) keep[k] = 0;
+      });
+    }
+    if (margin > 0.0) {
+      // An edge outside its box grown by the margin and kEdgeBoxPad (the
+      // rounding allowance) is farther than the margin from the point.
+      margin_dist.assign(xs.size(), 1e300);
+      const double pad = margin + kEdgeBoxPad;
+      auto lower = [&](Vec2 a, Vec2 b) {
+        lower_to_edge(a, b, pad, y, xs, margin_dist);
+      };
+      for_each_edge(outer_, lower);
+      for (const Polygon& hole : holes_) for_each_edge(hole, lower);
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        if (margin_dist[k] < margin) keep[k] = 0;
+      }
+    }
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      if (keep[k]) out.push_back({xs[k], y});
     }
   }
   return out;

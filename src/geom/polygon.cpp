@@ -62,31 +62,35 @@ BBox Polygon::bbox() const {
   return b;
 }
 
-bool Polygon::contains(Vec2 p) const {
-  if (pts_.size() < 3) return false;
-  // Boundary tolerance: a point within 1e-9 of an edge is "inside"; the
-  // crossing-number test alone is unstable exactly on the boundary.
-  // Outside an edge's bounding box grown by 2e-9 the point is farther than
-  // that from the edge, so the distance test is skipped there.
-  const double kBoxPad = 2e-9;
+Polygon::Probe Polygon::probe(Vec2 p) const {
+  Probe out;
+  if (pts_.size() < 3) return out;
   const std::size_t n = pts_.size();
-  bool inside = false;
   for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
     Vec2 a = pts_[j], b = pts_[i];
-    const bool near_edge_box = p.x >= std::min(a.x, b.x) - kBoxPad &&
-                               p.x <= std::max(a.x, b.x) + kBoxPad &&
-                               p.y >= std::min(a.y, b.y) - kBoxPad &&
-                               p.y <= std::max(a.y, b.y) + kBoxPad;
-    if (near_edge_box && point_segment_distance(p, Segment{a, b}) < 1e-9) {
-      return true;
+    if (padded_edge_box(a, b, kEdgeBoxPad).contains(p)) {
+      out.near_distance =
+          std::min(out.near_distance, point_segment_distance(p, Segment{a, b}));
     }
-    bool straddles = (b.y > p.y) != (a.y > p.y);
-    if (straddles) {
-      double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);
-      if (p.x < x_cross) inside = !inside;
+    if ((b.y > p.y) != (a.y > p.y) && p.x < edge_crossing_x(a, b, p.y)) {
+      out.parity = !out.parity;
     }
   }
-  return inside;
+  return out;
+}
+
+bool Polygon::contains(Vec2 p) const {
+  // The crossing-number test alone is unstable exactly on the boundary,
+  // so a point within the tolerance of an edge is inside.
+  const Probe pr = probe(p);
+  return pr.near_distance < kBoundaryTolerance || pr.parity;
+}
+
+bool Polygon::strictly_contains(Vec2 p) const {
+  // An edge outside its padded box is farther than the tolerance, so the
+  // near-box minimum decides "farther than the tolerance from every edge".
+  const Probe pr = probe(p);
+  return pr.parity && pr.near_distance > kBoundaryTolerance;
 }
 
 double Polygon::boundary_distance(Vec2 p) const {

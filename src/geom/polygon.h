@@ -5,6 +5,7 @@
 // also stored CCW and interpreted by the FoI layer.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "geom/segment.h"
@@ -25,6 +26,33 @@ struct BBox {
   double height() const { return hi.y - lo.y; }
   bool valid() const { return lo.x <= hi.x && lo.y <= hi.y; }
 };
+
+/// Boundary tolerance of Polygon::contains: a point closer than this to
+/// an edge counts as inside.
+inline constexpr double kBoundaryTolerance = 1e-9;
+
+/// Pad of the edge boxes that gate the tolerance test. A point outside an
+/// edge's bounding box grown by this much is farther than the tolerance
+/// from the edge (for coordinates whose rounding is far below 1e-9), so
+/// its distance to that edge is never computed.
+inline constexpr double kEdgeBoxPad = 2e-9;
+
+/// Bounding box of edge (a, b) grown by `pad` on every side.
+inline BBox padded_edge_box(Vec2 a, Vec2 b, double pad) {
+  BBox box;
+  box.lo = {std::min(a.x, b.x) - pad, std::min(a.y, b.y) - pad};
+  box.hi = {std::max(a.x, b.x) + pad, std::max(a.y, b.y) + pad};
+  return box;
+}
+
+/// x at which edge (a, b) meets the horizontal line at height y, for an
+/// edge that straddles it ((a.y > y) != (b.y > y)). The crossing-number
+/// test of Polygon::contains and the lattice scanline of
+/// FieldOfInterest::lattice_points both use this one expression, so their
+/// parities agree bit for bit.
+inline double edge_crossing_x(Vec2 a, Vec2 b, double y) {
+  return b.x + (y - b.y) * (a.x - b.x) / (a.y - b.y);
+}
 
 /// Simple (non-self-intersecting) polygon given by its vertex loop.
 /// Closing edge from back() to front() is implicit.
@@ -50,9 +78,22 @@ class Polygon {
 
   BBox bbox() const;
 
+  /// One pass over the edges for p: the even-odd (crossing-number)
+  /// parity, and the minimum boundary distance over the edges whose
+  /// padded box holds p (1e300 when none does).
+  struct Probe {
+    bool parity = false;
+    double near_distance = 1e300;
+  };
+  Probe probe(Vec2 p) const;
+
   /// Even-odd (crossing-number) point containment. Boundary points count
-  /// as inside within a small tolerance.
+  /// as inside within kBoundaryTolerance.
   bool contains(Vec2 p) const;
+
+  /// True when p is inside and farther than kBoundaryTolerance from the
+  /// boundary: the points a FoI hole forbids.
+  bool strictly_contains(Vec2 p) const;
 
   /// Distance from p to the polygon boundary (0 on the boundary).
   double boundary_distance(Vec2 p) const;
