@@ -1,5 +1,6 @@
 #include "io/job_io.h"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -99,6 +100,9 @@ PlannerOptions options_from_json(const json::Value& v) {
   }
   if (v.has("transition_time")) {
     opt.transition_time = v.at("transition_time").as_number();
+    if (!(std::isfinite(opt.transition_time) && opt.transition_time > 0.0)) {
+      throw std::runtime_error("transition_time must be positive");
+    }
   }
   if (v.has("rotation_partitions")) {
     opt.rotation.initial_partitions =

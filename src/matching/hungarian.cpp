@@ -1,5 +1,6 @@
 #include "matching/hungarian.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -11,6 +12,11 @@ AssignmentResult solve_assignment(const std::vector<std::vector<double>>& cost) 
   ANR_CHECK(n > 0);
   for (const auto& row : cost) {
     ANR_CHECK_MSG(static_cast<int>(row.size()) == n, "cost matrix not square");
+    // An infinite row never yields a finite delta, so the augmenting
+    // search below would loop forever.
+    for (double c : row) {
+      ANR_CHECK_MSG(std::isfinite(c), "non-finite assignment cost");
+    }
   }
   const double kInf = std::numeric_limits<double>::infinity();
 

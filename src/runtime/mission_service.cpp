@@ -196,6 +196,10 @@ std::optional<std::string> MissionService::validate(const PlanJob& job) {
   if (!std::isfinite(job.deadline_seconds) || job.deadline_seconds < 0.0) {
     return "deadline must be non-negative";
   }
+  if (!std::isfinite(job.options.transition_time) ||
+      job.options.transition_time <= 0.0) {
+    return "transition time must be positive";
+  }
   return std::nullopt;
 }
 

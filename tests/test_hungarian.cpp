@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -57,6 +59,17 @@ TEST(Hungarian, IsPermutation) {
 
 TEST(Hungarian, RejectsNonSquare) {
   EXPECT_THROW(solve_assignment({{1.0, 2.0}, {3.0}}), ContractViolation);
+}
+
+TEST(Hungarian, RejectsNonFiniteCostsInsteadOfLooping) {
+  // A row of infinite costs gives the augmenting search no finite step.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(solve_assignment({{1.0, 2.0}, {inf, inf}}), ContractViolation);
+  EXPECT_THROW(solve_assignment({{std::nan(""), 2.0}, {3.0, 4.0}}),
+               ContractViolation);
+  // Finite coordinates whose distance overflows to infinity.
+  EXPECT_THROW(min_distance_assignment({{1.7e308, 1.7e308}}, {{0.0, 0.0}}),
+               ContractViolation);
 }
 
 // Property: matches brute force on random instances up to n=7.

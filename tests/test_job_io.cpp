@@ -106,6 +106,19 @@ TEST(JobIo, OutOfRangeIntegerFieldsThrow) {
   }
 }
 
+TEST(JobIo, NonPositiveTransitionTimeThrows) {
+  // Timed paths need a positive T; such a job would fail every planning
+  // mode after queueing instead of being refused at the line.
+  for (const char* line :
+       {R"({"scenario": 1, "options": {"transition_time": -1}})",
+        R"({"scenario": 1, "options": {"transition_time": 0}})",
+        R"({"scenario": 1, "options": {"transition_time": 1e999}})"}) {
+    EXPECT_THROW(job_from_json(json::parse(line)), std::runtime_error) << line;
+  }
+  EXPECT_NO_THROW(job_from_json(json::parse(
+      R"({"scenario": 1, "robots": 8, "options": {"transition_time": 2.5}})")));
+}
+
 // Every truncation and every single-byte change of a valid job line
 // either parses into a request or throws a typed error (a JSON parse
 // error or other runtime_error, or a ContractViolation); nothing crashes.

@@ -322,11 +322,19 @@ TEST(MissionService, InvalidJobsAreRejectedTypedAtSubmit) {
   EXPECT_EQ(service.submit(std::move(bad_deadline)).get().status,
             JobStatus::kRejectedInvalid);
 
+  for (double t : {-1.0, 0.0, std::numeric_limits<double>::infinity()}) {
+    PlanJob bad_t = f.job("bad_transition_time");
+    bad_t.options.transition_time = t;
+    JobResult r_t = service.submit(std::move(bad_t)).get();
+    EXPECT_EQ(r_t.status, JobStatus::kRejectedInvalid) << t;
+    EXPECT_NE(r_t.error.find("transition time"), std::string::npos) << t;
+  }
+
   // The service is not poisoned: a good job still completes.
   JobResult rg = service.submit(f.job("good")).get();
   EXPECT_TRUE(rg.ok) << rg.error;
   auto stats = service.stats();
-  EXPECT_EQ(stats.rejected_invalid, 5u);
+  EXPECT_EQ(stats.rejected_invalid, 8u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.errored, 0u);
 }
@@ -366,12 +374,13 @@ TEST(MissionService, EveryFallbackFailingResolvesErrorInOnePass) {
   ServiceOptions so;
   so.threads = 1;
   MissionService service(so);
-  // Two robots fail the primary and relaxed pipelines (they need >= 4);
-  // a negative transition time, which the job schema accepts, then fails
-  // the Hungarian baseline's timed paths too.
+  // Two robots fail the primary and relaxed pipelines (they need >= 4).
+  // A robot at finite but extreme coordinates, which validation accepts,
+  // then fails the Hungarian baseline: its distance to every goal
+  // overflows, and the assignment refuses non-finite costs.
   PlanJob doomed = f.job("doomed");
   doomed.positions.resize(2);
-  doomed.options.transition_time = -1.0;
+  doomed.positions[1] = {1.7e308, 1.7e308};
   JobResult r = service.submit(std::move(doomed)).get();
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.status, JobStatus::kError);
@@ -384,6 +393,9 @@ TEST(MissionService, EveryFallbackFailingResolvesErrorInOnePass) {
     EXPECT_EQ(r.degradation.attempts[i].mode, chain[i]);
     EXPECT_FALSE(r.degradation.attempts[i].succeeded);
   }
+  EXPECT_NE(r.degradation.attempts[2].error.find("non-finite assignment cost"),
+            std::string::npos)
+      << r.degradation.attempts[2].error;
   auto stats = service.stats();
   EXPECT_EQ(stats.errored, 1u);
   EXPECT_EQ(stats.plan_exec.count, 1u);  // one pass through the chain
