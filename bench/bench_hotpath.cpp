@@ -14,6 +14,8 @@
 //     geometry: Delaunay construction, the whole T extraction (Delaunay,
 //     alpha filter, manifold cleanup, compaction) and one TriangleMesh
 //     adjacency build;
+//   - lattice sampling of an M2 at the CVT and mesher spacings, and a
+//     cold build of the seven paper planners;
 //   - one full MarchPlanner::plan() with the connectivity-safe adjustment
 //     enabled, and one geodesic plan over the plan_terrain cost field.
 //
@@ -440,6 +442,44 @@ void BM_MeshAdjacency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeshAdjacency)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
+// --- planner set-up ----------------------------------------------------------
+// FieldOfInterest::lattice_points on scenario 3's M2, the sampler behind
+// GridCvt (Arg 0: the CVT spacing of the default 24000 samples, no
+// margin) and mesh_foi (Arg 1: the spacing of the default 1200-point
+// mesher lattice, kept 0.45 h clear of the boundary).
+void BM_LatticePoints(benchmark::State& state) {
+  const FieldOfInterest m2 = scenario(3).m2_shape;
+  const bool mesher = state.range(0) == 1;
+  const int target = mesher ? MesherOptions{}.target_grid_points
+                            : PlannerOptions{}.cvt_samples;
+  const double h =
+      std::sqrt(2.0 * m2.area() / (std::sqrt(3.0) * static_cast<double>(target)));
+  const double margin = mesher ? 0.45 * h : 0.0;
+  std::size_t points = 0;
+  for (auto _ : state) {
+    const std::vector<Vec2> pts = m2.lattice_points(h, margin);
+    points = pts.size();
+    benchmark::DoNotOptimize(pts.data());
+  }
+  state.counters["points"] = static_cast<double>(points);
+}
+BENCHMARK(BM_LatticePoints)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// A cold build of the seven paper planners at default options, as a
+// planner-cache miss or perfbench's plan_paper set-up builds them: M2's
+// mesh, disk map and CVT grid for each scenario.
+void BM_PaperPlannerBuilds(benchmark::State& state) {
+  const std::vector<Scenario> scenarios = paper_scenarios();
+  for (auto _ : state) {
+    for (const Scenario& sc : scenarios) {
+      const MarchPlanner planner(sc.m1, sc.m2_shape, sc.comm_range,
+                                 PlannerOptions{});
+      benchmark::DoNotOptimize(&planner);
+    }
+  }
+}
+BENCHMARK(BM_PaperPlannerBuilds)->Unit(benchmark::kMillisecond);
 
 // --- full plan -------------------------------------------------------------
 
