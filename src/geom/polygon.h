@@ -78,15 +78,6 @@ class Polygon {
 
   BBox bbox() const;
 
-  /// One pass over the edges for p: the even-odd (crossing-number)
-  /// parity, and the minimum boundary distance over the edges whose
-  /// padded box holds p (1e300 when none does).
-  struct Probe {
-    bool parity = false;
-    double near_distance = 1e300;
-  };
-  Probe probe(Vec2 p) const;
-
   /// Even-odd (crossing-number) point containment. Boundary points count
   /// as inside within kBoundaryTolerance.
   bool contains(Vec2 p) const;
@@ -136,6 +127,15 @@ class Polygon {
   Polygon with_area(double target_area) const;
 
  private:
+  // One pass over the edges for p: the even-odd (crossing-number) parity,
+  // and the minimum boundary distance over the edges whose padded box
+  // holds p (1e300 when none does).
+  struct Probe {
+    bool parity = false;
+    double near_distance = 1e300;
+  };
+  Probe probe(Vec2 p) const;
+
   std::vector<Vec2> pts_;
 };
 

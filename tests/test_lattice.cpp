@@ -462,7 +462,7 @@ RandomCase random_case(std::uint64_t seed) {
 TEST(LatticeOracle, RandomPolygonsWithHolesMatchThePerPointLoop) {
   int with_holes = 0;
   std::size_t points = 0;
-  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 320; ++seed) {
     const RandomCase rc = random_case(seed);
     if (rc.foi.has_holes()) ++with_holes;
     for (double margin : {0.0, 0.45 * rc.h, 1.3 * rc.h}) {
@@ -475,7 +475,7 @@ TEST(LatticeOracle, RandomPolygonsWithHolesMatchThePerPointLoop) {
       points += got.size();
     }
   }
-  EXPECT_GE(with_holes, 120);
+  EXPECT_GE(with_holes, 200);
   EXPECT_GT(points, 100000u);
 }
 
