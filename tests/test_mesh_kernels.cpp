@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/hash.h"
 #include "common/rng.h"
 #include "foi/foi_mesher.h"
 #include "foi/scenario.h"
@@ -41,43 +40,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Inputs
-
-FieldOfInterest scaled_foi(const FieldOfInterest& foi, double s) {
-  const Vec2 c = foi.centroid();
-  auto scale = [&](const Polygon& p) {
-    std::vector<Vec2> pts;
-    for (Vec2 q : p.points()) pts.push_back(c + (q - c) * s);
-    return Polygon(std::move(pts));
-  };
-  std::vector<Polygon> holes;
-  for (const Polygon& h : foi.holes()) holes.push_back(scale(h));
-  return FieldOfInterest(scale(foi.outer()), std::move(holes));
-}
-
-// The plan_swarm_4k deployment: scenario 1's M1 scaled to hold 4096
-// lattice robots at the density of 144, each nudged by a seeded jitter of
-// at most a tenth of the spacing (fleet seed 15, stream 1).
-std::vector<Vec2> swarm_4k_points() {
-  const int n = 4096;
-  const Scenario sc = scenario(1);
-  const FieldOfInterest m1 =
-      scaled_foi(sc.m1, std::sqrt(n / static_cast<double>(sc.num_robots)));
-  double h = std::sqrt(2.0 * m1.area() / (std::sqrt(3.0) * n));
-  std::vector<Vec2> pts = m1.lattice_points(h);
-  for (int guard = 0; static_cast<int>(pts.size()) < n && guard < 64; ++guard) {
-    h *= 0.97;
-    pts = m1.lattice_points(h);
-  }
-  pts.resize(n);
-  Rng rng(splitmix64(splitmix64(15) ^ 2));
-  for (Vec2& p : pts) {
-    const double a = rng.uniform(0.0, 2.0 * M_PI);
-    const double r = 0.1 * h * std::sqrt(rng.uniform(0.0, 1.0));
-    const Vec2 q = p + Vec2{r * std::cos(a), r * std::sin(a)};
-    if (m1.contains(q)) p = q;
-  }
-  return pts;
-}
 
 // Exact 70 x 70 square lattice, spacing 10: every cell is cocircular.
 std::vector<Vec2> square_lattice_points() {
@@ -212,7 +174,8 @@ void expect_kernel_golden(const std::string& name,
 }
 
 TEST(MeshKernelGolden, Swarm4kJitteredLattice) {
-  expect_kernel_golden("swarm4k", swarm_4k_points(), scenario(1).comm_range);
+  expect_kernel_golden("swarm4k", testutil::swarm_4k_points(),
+                       scenario(1).comm_range);
 }
 
 TEST(MeshKernelGolden, ExactSquareLattice70) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -10,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "foi/foi.h"
+#include "foi/scenario.h"
 #include "geom/polygon.h"
 #include "geom/vec2.h"
 #include "runtime/mission_service.h"
@@ -57,6 +60,44 @@ inline FieldOfInterest square_with_hole(double s, double hole_r) {
 inline std::vector<Vec2> lattice_disk(Vec2 center, double radius, double d) {
   FieldOfInterest disk{make_circle(center, radius, 64)};
   return disk.lattice_points(d);
+}
+
+/// `foi` scaled by `s` about its centroid.
+inline FieldOfInterest scaled_foi(const FieldOfInterest& foi, double s) {
+  const Vec2 c = foi.centroid();
+  auto scale = [&](const Polygon& p) {
+    std::vector<Vec2> pts;
+    for (Vec2 q : p.points()) pts.push_back(c + (q - c) * s);
+    return Polygon(std::move(pts));
+  };
+  std::vector<Polygon> holes;
+  for (const Polygon& h : foi.holes()) holes.push_back(scale(h));
+  return FieldOfInterest(scale(foi.outer()), std::move(holes));
+}
+
+/// The plan_swarm_4k deployment: scenario 1's M1 scaled to hold 4096
+/// lattice robots at the density of 144, each nudged by a seeded jitter of
+/// at most a tenth of the spacing (fleet seed 15, stream 1).
+inline std::vector<Vec2> swarm_4k_points() {
+  const int n = 4096;
+  const Scenario sc = scenario(1);
+  const FieldOfInterest m1 =
+      scaled_foi(sc.m1, std::sqrt(n / static_cast<double>(sc.num_robots)));
+  double h = std::sqrt(2.0 * m1.area() / (std::sqrt(3.0) * n));
+  std::vector<Vec2> pts = m1.lattice_points(h);
+  for (int guard = 0; static_cast<int>(pts.size()) < n && guard < 64; ++guard) {
+    h *= 0.97;
+    pts = m1.lattice_points(h);
+  }
+  pts.resize(n);
+  Rng rng(splitmix64(splitmix64(15) ^ 2));
+  for (Vec2& p : pts) {
+    const double a = rng.uniform(0.0, 2.0 * M_PI);
+    const double r = 0.1 * h * std::sqrt(rng.uniform(0.0, 1.0));
+    const Vec2 q = p + Vec2{r * std::cos(a), r * std::sin(a)};
+    if (m1.contains(q)) p = q;
+  }
+  return pts;
 }
 
 /// Expects `got` to equal the golden file at `path` byte for byte. Under
