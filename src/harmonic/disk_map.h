@@ -8,12 +8,14 @@
 // positive weights this is Tutte/Floater: the result is a guaranteed
 // embedding (Kneser / Choquet for the smooth case the paper cites).
 //
-// This is the centralized solver (Gauss–Seidel with over-relaxation on a
-// red-black-style multicolor schedule: interior vertices are greedily
-// colored so each color class relaxes in parallel, with results
-// bit-identical to the serial color-major sweep at any thread count); the
-// message-passing equivalent lives in distributed_disk_map and is verified
-// against this one in tests.
+// This is the centralized solver. The interior conditions form one sparse
+// linear system shared by both disk coordinates; below
+// `multigrid_threshold` interior vertices it is solved exactly by an
+// envelope LU (harmonic/direct_solve.h), at or above it by multigrid
+// V-cycles (harmonic/multigrid.h), and a stalled multigrid solve falls
+// back to the direct one. Both engines give the same bytes at any arena
+// thread count. The message-passing equivalent lives in
+// distributed_disk_map and is verified against this one in tests.
 #pragma once
 
 #include <functional>
@@ -36,26 +38,25 @@ enum class BoundarySpacing {
   kChordLength,  ///< angles proportional to boundary edge lengths
 };
 
-/// Interior relaxation engine.
+/// Interior solve engine.
 enum class HarmonicSolver {
-  kAuto,         ///< multigrid above `multigrid_threshold`, flat SOR below
-  kGaussSeidel,  ///< always the flat multicolor SOR sweep
-  kMultigrid,    ///< always the V-cycle solver (harmonic/multigrid.h)
+  kAuto,       ///< direct below `multigrid_threshold`, multigrid at or above
+  kDirect,     ///< always the envelope LU (harmonic/direct_solve.h)
+  kMultigrid,  ///< always the V-cycle solver (harmonic/multigrid.h), with
+               ///< the direct solve as its fallback on a stall
 };
 
 struct DiskMapOptions {
   HarmonicWeights weights = HarmonicWeights::kUniform;
   BoundarySpacing spacing = BoundarySpacing::kUniformHops;
-  double tol = 1e-10;        ///< max vertex move per sweep to declare converged
-  int max_sweeps = 200000;
-  double over_relax = 1.7;   ///< SOR factor in (0, 2)
+  double tol = 1e-10;       ///< multigrid: max vertex move of a fine sweep
+  double over_relax = 1.7;  ///< multigrid: SOR smoother factor in (0, 2)
 
-  /// Solver selection. kAuto keeps the historical flat sweep (and its exact
-  /// bytes) on small meshes and switches to multigrid only where the flat
-  /// sweep's O(n) iteration count starts to dominate. If multigrid stalls
-  /// (non-symmetric custom weights can defeat the Galerkin hierarchy), the
-  /// remaining `max_sweeps` budget falls back to the flat sweep, so
-  /// convergence is never worse than the historical solver's.
+  /// Solver selection. kAuto factors the system exactly on small meshes
+  /// and switches to multigrid where the envelope factors grow faster
+  /// than the V-cycles' work. If multigrid stalls (non-symmetric custom
+  /// weights can defeat the Galerkin hierarchy), the direct solve takes
+  /// over, so a stall never leaves a half-relaxed map.
   HarmonicSolver solver = HarmonicSolver::kAuto;
   /// Interior-vertex count at which kAuto switches to multigrid.
   int multigrid_threshold = 3000;
@@ -71,20 +72,19 @@ struct DiskMap {
   std::vector<Vec2> disk_pos;
   /// Per vertex: lies on the (single) boundary loop.
   std::vector<char> on_boundary;
-  /// Gauss–Seidel sweeps actually executed (the converging sweep counts;
-  /// equals max_sweeps when convergence was not reached). The distributed
-  /// solver reports its relaxation rounds here under the same semantics;
-  /// the multigrid solver counts finest-level smoothing sweeps.
+  /// Finest-level smoothing sweeps of the multigrid engine (0 for the
+  /// direct solve). The distributed solver reports its relaxation rounds
+  /// here.
   int sweeps = 0;
   bool converged = false;
-  /// True when the multigrid engine produced the result (possibly with a
-  /// flat-sweep tail); false for the pure flat sweep.
+  /// True when the multigrid engine ran (possibly followed by the direct
+  /// fallback); false for the direct solve alone.
   bool used_multigrid = false;
-  /// V-cycles executed (0 for the flat sweep).
+  /// V-cycles executed (0 for the direct solve).
   int cycles = 0;
-  /// kOk when converged; FailedPrecondition (with the sweep budget and
-  /// tolerance in the message) when the sweep budget ran out. Callers that
-  /// used to poll `converged` can now propagate a typed error instead.
+  /// kOk when converged; FailedPrecondition when the direct solve met a
+  /// pivot or solution that is not finite (interior positions then stay
+  /// at the origin). Callers can propagate it as a typed error.
   Status status;
 
   /// Fraction of triangles that kept positive orientation in the disk —

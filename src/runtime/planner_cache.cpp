@@ -84,8 +84,9 @@ CacheKey CacheKey::of(const FieldOfInterest& m1,
   fp.i32(static_cast<int>(options.disk.weights));
   fp.i32(static_cast<int>(options.disk.spacing));
   fp.f64(options.disk.tol);
-  fp.i32(options.disk.max_sweeps);
   fp.f64(options.disk.over_relax);
+  fp.i32(static_cast<int>(options.disk.solver));
+  fp.i32(options.disk.multigrid_threshold);
   fp.b(static_cast<bool>(options.disk.custom_weight));
   fp.i32(options.cvt_samples);
   fp.i32(options.adjust.max_iters);
