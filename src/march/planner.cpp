@@ -39,16 +39,6 @@ struct PlanContext {
 
 namespace {
 
-// Largest distance between consecutive ring robots at `q`.
-double ring_gap(const std::vector<int>& ring, const std::vector<Vec2>& q) {
-  double gap = 0.0;
-  for (std::size_t i = 0, b = ring.size(); i < b; ++i) {
-    gap = std::max(gap, distance(q[static_cast<std::size_t>(ring[i])],
-                                 q[static_cast<std::size_t>(ring[(i + 1) % b])]));
-  }
-  return gap;
-}
-
 // Re-spaces the ring robots' targets uniformly by arc length along `rim`,
 // keeping their cyclic order, which bounds every gap by perimeter / b.
 void respace_ring(const Polygon& rim, const std::vector<int>& ring,

@@ -64,6 +64,17 @@ CompactT compact_t(const TriangleMesh& t) {
   return out;
 }
 
+double ring_gap(const std::vector<int>& ring, const std::vector<Vec2>& q,
+                const std::function<double(Vec2, Vec2)>& metric) {
+  double gap = 0.0;
+  for (std::size_t i = 0, b = ring.size(); i < b; ++i) {
+    const Vec2 a = q[static_cast<std::size_t>(ring[i])];
+    const Vec2 c = q[static_cast<std::size_t>(ring[(i + 1) % b])];
+    gap = std::max(gap, metric ? metric(a, c) : distance(a, c));
+  }
+  return gap;
+}
+
 TargetMapper::TargetMapper(const OverlapInterpolator& interpolator,
                            const std::vector<Vec2>& positions, const CompactT& t,
                            const std::vector<Vec2>& t_disk_pos,

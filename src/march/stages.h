@@ -44,6 +44,11 @@ struct CompactT {
 };
 CompactT compact_t(const TriangleMesh& t);
 
+/// Largest distance between consecutive `ring` robots at `q` under
+/// `metric` (Euclidean when empty).
+double ring_gap(const std::vector<int>& ring, const std::vector<Vec2>& q,
+                const std::function<double(Vec2, Vec2)>& metric = {});
+
 /// Buffers of one target-map evaluation, reused across rotation probes.
 /// `hints` warm-starts the interpolator's point location; it changes
 /// lookup speed only, so every probe is a pure function of theta.

@@ -174,6 +174,8 @@ MarchPlan SurfaceMarchPlanner::plan(const std::vector<Vec2>& positions,
   plan.snapped_targets = mapper.map_into(rot.angle, final_map);
   plan.mapped_targets = std::move(final_map.q);
   std::vector<Vec2>& targets = plan.mapped_targets;
+  plan.max_boundary_gap = ring_gap(
+      t.ring, targets, [this](Vec2 a, Vec2 b) { return chord(a, b); });
   RepairReport rep =
       repair_targets(positions, targets, adjacency, t.is_boundary, r_c_,
                      [this](Vec2 a, Vec2 b) { return chord(a, b); });

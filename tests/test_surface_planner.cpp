@@ -98,6 +98,9 @@ TEST(SurfacePlanner, FlatTerrainMatchesPlanarPlanner) {
   // Same rotation probes, closely matching predicted link ratios.
   EXPECT_EQ(splan.rotation_evaluations, pplan.rotation_evaluations);
   EXPECT_NEAR(splan.predicted_link_ratio, pplan.predicted_link_ratio, 0.05);
+  // Flat chords are planar distances, so the rim gaps agree too.
+  EXPECT_GT(splan.max_boundary_gap, 0.0);
+  EXPECT_DOUBLE_EQ(splan.max_boundary_gap, pplan.max_boundary_gap);
 
   auto m = simulate_on_surface(splan.trajectories, HeightField{},
                                f.sc.comm_range, splan.transition_end, 100);
@@ -116,6 +119,7 @@ TEST(SurfacePlanner, RoughTerrainKeepsGuarantees) {
   EXPECT_TRUE(m.base.global_connectivity);
   EXPECT_GT(m.base.stable_link_ratio, 0.5);
   EXPECT_GT(m.surface_distance, m.planar_distance);
+  EXPECT_GT(plan.max_boundary_gap, 0.0);
   // Final positions inside M2 on the map.
   FieldOfInterest m2 = f.sc.m2_shape.translated(f.off);
   for (Vec2 p : plan.final_positions) EXPECT_TRUE(m2.contains(p));
