@@ -190,6 +190,17 @@ std::optional<std::string> MissionService::validate(const PlanJob& job) {
   if (!std::isfinite(job.r_c) || job.r_c <= 0.0) {
     return "communication range must be positive";
   }
+  // A robot farther than r_c outside M1's box is out of range of all of
+  // M1: it is no part of the deployment the job describes.
+  const BBox m1_box = job.m1.bbox();
+  for (std::size_t r = 0; r < job.positions.size(); ++r) {
+    const Vec2 p = job.positions[r];
+    if (p.x < m1_box.lo.x - job.r_c || p.x > m1_box.hi.x + job.r_c ||
+        p.y < m1_box.lo.y - job.r_c || p.y > m1_box.hi.y + job.r_c) {
+      return "robot " + std::to_string(r) +
+             " lies outside M1's bounding box grown by r_c";
+    }
+  }
   if (!std::isfinite(job.m2_offset.x) || !std::isfinite(job.m2_offset.y)) {
     return "non-finite m2 offset";
   }
