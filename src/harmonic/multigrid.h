@@ -5,14 +5,14 @@
 // of their neighbors; as a linear system that is A x = b with
 // A = diag(W_v) - [w_vu] over the interior vertices and b collecting the
 // pinned boundary contributions. Plain (S)OR needs O(n) sweeps on a
-// diameter-n mesh — fine at 144 robots, hopeless at 100k. This solver
+// diameter-n mesh, and the exact envelope LU (harmonic/direct_solve.h)
+// grows its factors faster than n, so large meshes come here. This solver
 // builds a coarsening hierarchy once (greedy maximal-independent-set
 // C-points in index order, weighted-average prolongation, Galerkin
-// triple-product coarse operators) and runs V-cycles whose smoother is the
-// exact multicolor SOR sweep the flat solver uses, parallelized with the
-// same `parallel_chunks` schedule — so results are byte-identical at any
-// thread count, and the convergence criterion (max vertex move of a full
-// fine sweep <= tol) matches the flat solver's.
+// triple-product coarse operators) and runs V-cycles whose smoother is a
+// multicolor SOR sweep parallelized with `parallel_chunks` — so results
+// are byte-identical at any thread count. It has converged when a full
+// fine sweep moves no unknown by more than tol.
 //
 // Everything about the setup is deterministic: C-point selection, coarse
 // numbering, and Galerkin assembly are index-ordered and serial; only the
