@@ -66,13 +66,10 @@ void BM_HarmonicMap(benchmark::State& state) {
   DiskMapOptions dopt;
   dopt.weights = state.range(1) == 0 ? HarmonicWeights::kUniform
                                      : HarmonicWeights::kMeanValue;
-  int sweeps = 0;
   for (auto _ : state) {
     DiskMap map = harmonic_disk_map(fm.mesh, dopt);
-    sweeps = map.sweeps;
     benchmark::DoNotOptimize(map);
   }
-  state.counters["sweeps"] = sweeps;
   state.counters["vertices"] = static_cast<double>(fm.mesh.num_vertices());
 }
 BENCHMARK(BM_HarmonicMap)
