@@ -10,17 +10,18 @@
 # (full plans at 2/4/8 arena threads), the sharded-router suite
 # (concurrent submit against kill/drain/revive transitions), the
 # harmonic solver suite (multigrid smoothing through parallel_chunks at
-# several arena widths), the Delaunay suite (hinted construction
-# feeding the parallel consumers), the admission suite (gateway
-# submit/refresh racing a multi-threaded backend), and the codec suite
-# (encode/decode used concurrently by the serving path), and the FMM
-# suite (per-robot fast-marching solves fanned out over parallel_chunks
-# must produce byte-identical ToA fields at any thread count), and the
-# coverage suite (the CVT's block-coherent Voronoi assignment builds the
-# per-block candidate lists that a reused Scratch caches across Lloyd
-# steps, and narrows them per step, in per-chunk buffers inside
-# parallel_chunks; checked at 1 and 4 arena threads, lists reused and
-# rebuilt).
+# several arena widths, and the serial direct solve that runs below the
+# multigrid threshold, checked at the same widths), the Delaunay suite
+# (hinted construction feeding the parallel consumers), the admission
+# suite (gateway submit/refresh racing a multi-threaded backend), and the
+# codec suite (encode/decode used concurrently by the serving path), and
+# the FMM suite (per-robot fast-marching solves fanned out over
+# parallel_chunks must produce byte-identical ToA fields at any thread
+# count), and the coverage suite (the CVT's block-coherent Voronoi
+# assignment builds the per-block candidate lists that a reused Scratch
+# caches across Lloyd steps, and narrows them per step, in per-chunk
+# buffers inside parallel_chunks; checked at 1 and 4 arena threads, lists
+# reused and rebuilt).
 #
 # Usage: scripts/tsan_check.sh [build-dir]
 set -euo pipefail
